@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "vgr/phy/medium.hpp"
@@ -206,6 +211,120 @@ TEST_F(MediumTest, AirtimeOverheadExtendsTheBusyWindow) {
   EXPECT_EQ(medium_.busy_time(a.id),
             airtime(AccessTechnology::kDsrc, wire) +
                 airtime(AccessTechnology::kDsrc, wire + 38));
+}
+
+// --- Delivery order -----------------------------------------------------------
+// Every reception of a small fixed scene, logged in firing order as
+// "<ns since t0>:<receiver><<sender>" ('*' marks a corrupted copy). Nodes sit
+// on a line with a 200 m range, so every node hears every other:
+//
+//   G(-30)  A(0)  C(30)  D(50)  E(70)  B(100)  F(130)
+//
+// A and B transmit equal-size frames at the same instant, so arrivals tie
+// across frames (A->C, A->G, B->E, B->F all land at airtime + 101 ns). At a
+// tie the earlier-sent frame delivers first and, within one frame, the lower
+// RadioId does; an event scheduled before the transmissions fires ahead of
+// them and one scheduled after fires behind.
+class DeliveryOrderTest : public ::testing::Test {
+ protected:
+  DeliveryOrderTest() : medium_{events_, AccessTechnology::kDsrc} {
+    for (const auto& [name, x] : std::vector<std::pair<char, double>>{
+             {'A', 0.0}, {'B', 100.0}, {'C', 30.0}, {'D', 50.0}, {'E', 70.0},
+             {'F', 130.0}, {'G', -30.0}}) {
+      add(name, x);
+    }
+  }
+
+  RadioId add(char name, double x) {
+    names_.push_back(name);
+    Medium::NodeConfig cfg;
+    cfg.mac = net::MacAddress{static_cast<std::uint64_t>(name)};
+    cfg.position = [x] { return geo::Position{x, 0.0}; };
+    cfg.tx_range_m = 200.0;
+    return medium_.add_node(std::move(cfg), [this, name](const Frame& f, RadioId from) {
+      log(std::string{name} + "<" + names_[from.value - 1] + (f.raw.empty() ? "" : "*"));
+      if (const auto it = on_rx_.find(name); it != on_rx_.end()) {
+        auto hook = std::move(it->second);
+        on_rx_.erase(it);  // one-shot
+        hook();
+      }
+    });
+  }
+
+  void log(const std::string& what) {
+    log_ += std::to_string((events_.now() - t0_).count()) + ":" + what + " ";
+  }
+
+  [[nodiscard]] RadioId id(char name) const {
+    for (std::size_t i = 0; i < names_.size(); ++i) {
+      if (names_[i] == name) return RadioId{static_cast<std::uint32_t>(i + 1)};
+    }
+    return RadioId{};
+  }
+
+  void send(char name) {
+    Frame f;
+    f.src = net::MacAddress{static_cast<std::uint64_t>(name)};
+    f.msg = security::share(security::SecuredMessage{});
+    medium_.transmit(id(name), std::move(f));
+  }
+
+  [[nodiscard]] sim::Duration frame_airtime() const {
+    return airtime(AccessTechnology::kDsrc, security::SecuredMessage{}.wire_size());
+  }
+
+  sim::EventQueue events_;
+  Medium medium_;
+  std::vector<char> names_;
+  std::map<char, std::function<void()>> on_rx_;
+  sim::TimePoint t0_{};
+  std::string log_;
+};
+
+TEST_F(DeliveryOrderTest, TiesAcrossFramesRemovalAndReentrantTransmit) {
+  // C's first reception removes E while both frames are still in flight to
+  // it; D's first reception transmits re-entrantly from inside the callback.
+  on_rx_['C'] = [this] { medium_.remove_node(id('E')); };
+  on_rx_['D'] = [this] { send('D'); };
+  const sim::TimePoint tie = t0_ + frame_airtime() + sim::Duration::nanos(101);
+  events_.schedule_at(tie, [this] { log("before"); });
+  send('A');
+  send('B');
+  events_.schedule_at(tie, [this] { log("after"); });
+  events_.run_until(t0_ + 1_s);
+  EXPECT_EQ(log_,
+            "92101:before 92101:C<A 92101:G<A 92101:F<B 92101:after 92167:D<A 92167:D<B "
+            "92234:C<B 92334:B<A 92334:A<B 92434:F<A 92434:G<B 184234:C<D 184334:A<D "
+            "184334:B<D 184434:F<D 184434:G<D ");
+}
+
+TEST_F(DeliveryOrderTest, FaultInjectedDropsAndCorruptionsKeepTheOrder) {
+  FaultConfig faults;
+  faults.link_loss_probability = 0.3;
+  faults.corrupt_probability = 0.3;
+  medium_.set_fault_injector(std::make_unique<FaultInjector>(faults, sim::Rng{42}));
+  send('A');
+  send('B');
+  events_.run_until(t0_ + 10_ms);
+  send('C');
+  send('F');
+  events_.run_until(t0_ + 1_s);
+  EXPECT_EQ(log_,
+            "92101:C<A 92101:G<A 92101:E<B 92101:F<B 92167:D<A 92167:D<B 92234:E<A 92234:C<B "
+            "92434:F<A 10092067:D<C 10092134:E<C 10092201:G<C 10092201:E<F 10092234:B<C "
+            "10092267:D<F 10092334:F<C* 10092334:C<F 10092434:A<F 10092534:G<F* ");
+}
+
+TEST_F(DeliveryOrderTest, InterferenceCorruptsOnlyOverlappingReceptions) {
+  // B starts 200 ns after A's airtime ends at A's own radio: A's frame has
+  // already arrived at C, D and G (101-167 ns away) but is still arriving
+  // at E, B and F, so those three receptions collide with B's frame.
+  medium_.set_interference(true);
+  send('A');
+  events_.schedule_at(t0_ + frame_airtime() + sim::Duration::nanos(200), [this] { send('B'); });
+  events_.run_until(t0_ + 1_s);
+  EXPECT_EQ(log_, "92101:C<A 92101:G<A 92167:D<A 184367:D<B 184434:C<B 184534:A<B 184634:G<B ");
+  EXPECT_GT(medium_.frames_collided(), 0u);
 }
 
 TEST(Technology, TableIIRanges) {
