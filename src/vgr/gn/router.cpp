@@ -66,10 +66,6 @@ Router::Router(sim::EventQueue& events, phy::Medium& medium, security::Signer si
   node.position = [this] { return mobility_.position(); };
   node.tx_range_m = tx_range_m;
   node.promiscuous = false;
-  // The router's own queue doubles as its strip-affinity handle: in a
-  // strip-parallel run the scenario hands each station a per-strip handle,
-  // and the medium uses it to keep same-strip deliveries on this wheel.
-  node.home = &events_;
   radio_ = medium_.add_node(std::move(node), [this](const phy::Frame& f, phy::RadioId) {
     if (running_) on_frame(f);
   });

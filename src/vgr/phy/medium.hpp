@@ -1,10 +1,10 @@
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "vgr/geo/vec2.hpp"
@@ -99,13 +99,6 @@ class Medium {
     /// it can reach and what it can overhear (§III-A, §IV-A).
     double rx_range_m{0.0};
     bool promiscuous{false};
-    /// Strip-plane scheduling handle of the node's owner (router/sniffer).
-    /// nullptr — the default — means the node has no strip affinity and the
-    /// medium schedules every delivery on its own queue, exactly as before
-    /// strips existed. Under a StripPlane the owner sets this to its own
-    /// handle so same-strip deliveries stay on the owner's wheel and
-    /// cross-strip ones route through the plane's mailboxes.
-    sim::EventQueue* home{nullptr};
   };
 
   /// Registers a node; `rx` fires for every frame the node receives.
@@ -129,9 +122,7 @@ class Medium {
   /// default — the paper's simulator ignores interference — and available
   /// for ablation studies.
   void set_interference(bool on) { interference_ = on; }
-  [[nodiscard]] std::uint64_t frames_collided() const {
-    return frames_collided_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t frames_collided() const { return frames_collided_; }
 
   /// Installs an obstruction predicate (empty = free space everywhere).
   void set_obstruction(ObstructionFn fn) { obstruction_ = std::move(fn); }
@@ -197,19 +188,14 @@ class Medium {
   /// Number of index rebuilds so far (perf introspection).
   [[nodiscard]] std::uint64_t index_rebuilds() const { return index_rebuilds_; }
 
-  /// Serial-phase index refresh point for strip-parallel runs: registered
-  /// as a StripPlane serial hook so a dirty index is always rebuilt between
-  /// windows — workers only ever read a settled index (and assert so).
+  /// Rebuilds the index now if it is stale, instead of on the next
+  /// transmit (lets a caller time the rebuild on its own).
   void prepare_index() { ensure_index(); }
 
   [[nodiscard]] AccessTechnology technology() const { return tech_; }
   [[nodiscard]] std::size_t node_count() const { return live_nodes_; }
-  [[nodiscard]] std::uint64_t frames_sent() const {
-    return frames_sent_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t frames_delivered() const {
-    return frames_delivered_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t frames_sent() const { return frames_sent_; }
+  [[nodiscard]] std::uint64_t frames_delivered() const { return frames_delivered_; }
 
  private:
   struct Node {
@@ -232,18 +218,16 @@ class Medium {
                                 double range_m, double distance_m);
 
   /// Extends `node`'s carrier-sense horizon to `until`, crediting the time
-  /// in [from, until] not already covered by the previous horizon to its
-  /// busy-time accumulator. Serial callers pass the current event time as
-  /// `from` (intervals begin at the send instant); the cross-strip delivery
-  /// path replays the same interval retroactively at arrival time.
-  void extend_busy(Node& node, sim::TimePoint from, sim::TimePoint until);
+  /// in [now, until] not already covered by the previous horizon to its
+  /// busy-time accumulator.
+  void extend_busy(Node& node, sim::TimePoint now, sim::TimePoint until);
 
   /// Transmit body shared by the public entry point and fault-injected
   /// duplicates; `faults` carries the frame-level decisions already drawn.
   /// Takes the frame as an immutable shared pointer: the public `transmit`
-  /// wraps it exactly once, and from there the same object is captured by
-  /// the duplication branch and every per-receiver delivery event — no
-  /// further frame copies anywhere on the clean path.
+  /// wraps it exactly once, and from there the same object is held by the
+  /// duplication branch and the frame's flight — no further frame copies
+  /// anywhere on the clean path.
   void transmit_impl(RadioId sender, std::shared_ptr<const Frame> frame,
                      double range_override_m, const FaultInjector::FrameDecision& faults);
 
@@ -251,16 +235,42 @@ class Medium {
   /// out of the index). No-op while the index is current.
   void ensure_index();
 
-  /// Resolves the simulation clock for a transmission issued by
-  /// `sender_node`'s owner: serially this is `events_.now()`; under a strip
-  /// plane it is the clock of the wheel the calling event is running on
-  /// (the owner's home wheel, or the global wheel in the serial phase).
-  [[nodiscard]] sim::TimePoint send_now_(const Node& sender_node) const;
+  // --- Delivery cursor --------------------------------------------------
+  // A transmission's receivers become one *flight*: its arrivals sorted by
+  // (time, event number), walked by a single calendar entry that delivers
+  // to one receiver and re-arms at the next. The event numbers are reserved
+  // as one block at send time, in ascending RadioId order, so each delivery
+  // fires at exactly the (time, number) a per-receiver event would have.
+
+  /// One receiver of a flight. Trivially copyable, so a flight's arrivals
+  /// sort as plain memory; per-receiver extras live in Flight::extras.
+  struct Arrival {
+    sim::TimePoint at;
+    std::uint64_t event;  ///< reserved event number
+    std::uint32_t radio;  ///< RadioId value
+    std::uint32_t extra;  ///< index into Flight::extras, or kNoExtra
+  };
+  static_assert(std::is_trivially_copyable_v<Arrival>);
+  static constexpr std::uint32_t kNoExtra = ~std::uint32_t{0};
+  /// What a receiver's delivery needs beyond the shared frame.
+  struct Extra {
+    std::shared_ptr<const Frame> damaged;  ///< corrupted copy (fault injection)
+    std::shared_ptr<bool> collided;        ///< interference flag
+  };
+  struct Flight {
+    std::shared_ptr<const Frame> frame;
+    RadioId sender;
+    std::vector<Arrival> arrivals;
+    std::vector<Extra> extras;
+    std::size_t next{0};  ///< arrival the pending calendar entry delivers
+  };
+
+  /// Delivers the next arrival of `flights_[index]` and re-arms the cursor
+  /// at the one after it; the flight returns to the pool after its last
+  /// receiver's callback has returned (callbacks may transmit re-entrantly).
+  void deliver_next(std::uint32_t index);
 
   sim::EventQueue& events_;
-  /// Non-null when `events_` belongs to a StripPlane: deliveries then route
-  /// per-receiver to home wheels (same strip) or mailboxes (cross strip).
-  sim::StripPlane* plane_{nullptr};
   AccessTechnology tech_;
   sim::Rng rng_;
   ReceptionModel reception_model_{ReceptionModel::kDisk};
@@ -286,13 +296,14 @@ class Medium {
   std::size_t live_nodes_{0};
   bool interference_{false};
   std::size_t airtime_overhead_bytes_{0};
-  /// Relaxed atomics: under a strip plane deliveries (and forwards they
-  /// trigger) run on worker threads concurrently. Totals are sums, so the
-  /// counts stay deterministic; serially the relaxed ops compile to plain
-  /// increments on x86.
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> frames_delivered_{0};
-  std::atomic<std::uint64_t> frames_collided_{0};
+  std::uint64_t frames_sent_{0};
+  std::uint64_t frames_delivered_{0};
+  std::uint64_t frames_collided_{0};
+
+  /// Flight pool: boxed so a flight stays put while re-entrant transmits
+  /// grow the pool; released flights keep their vectors' capacity.
+  std::vector<std::unique_ptr<Flight>> flights_;
+  std::vector<std::uint32_t> free_flights_;
 
   // Spatial index state.
   SpatialGrid grid_;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -136,20 +135,6 @@ struct HighwayConfig {
   double run_wall_budget_s{0.0};
   std::uint64_t run_max_events{0};
 
-  // Intra-run parallelism (docs/performance.md "Intra-run parallelism").
-  // `strips == 0` — the default — runs the classic single-threaded event
-  // loop and is byte-identical to every prior build. `strips >= 1` splits
-  // the road into that many equal-width strips, each advanced by its own
-  // event wheel under the conservative window executor. The strip count is
-  // a MODEL parameter (it fixes the mailbox merge geometry and with it the
-  // exact output); `strip_threads` is purely a performance knob — any
-  // thread count produces byte-identical results for a given strip count.
-  // Requires faults and interference off (the medium asserts).
-  int strips{0};
-  /// Worker threads for the strip executor; 0 = ThreadPool's default
-  /// (VGR_THREADS, else hardware). Clamped to the strip count.
-  std::size_t strip_threads{0};
-
   [[nodiscard]] double resolved_vehicle_range() const;
   [[nodiscard]] double resolved_attacker_x() const;
   [[nodiscard]] AttackGeometry attack_geometry() const;
@@ -259,10 +244,6 @@ class HighwayScenario {
   [[nodiscard]] std::uint64_t churn_crashes() const { return churn_crashes_; }
   [[nodiscard]] std::uint64_t churn_reboots() const { return churn_reboots_; }
 
-  /// The strip-parallel plane, or nullptr in a classic serial run (tests
-  /// assert on its late-post counter; benches read its worker count).
-  [[nodiscard]] const sim::StripPlane* plane() const { return plane_.get(); }
-
  private:
   void spawn_station(traffic::Vehicle& v);
   void destroy_station(traffic::Vehicle& v);
@@ -279,13 +260,6 @@ class HighwayScenario {
   void reboot_station(traffic::VehicleId vid);
   void schedule_pseudonym_rotation(traffic::VehicleId id);
   gn::RouterConfig make_router_config() const;
-  /// Strip index (1-based) owning road coordinate `x`; clamps off-road
-  /// coordinates (destinations 20 m beyond the ends) into the edge strips.
-  [[nodiscard]] std::uint32_t strip_for_x(double x) const;
-  /// Queues re-homes for every station whose vehicle crossed a strip
-  /// boundary since the last mobility tick (strip-parallel runs only; runs
-  /// inside the global tick event, i.e. the serial phase).
-  void rehome_crossed_stations();
   void schedule_inter_area_workload();
   void schedule_intra_area_workload();
   void generate_inter_area_packet();
@@ -303,19 +277,9 @@ class HighwayScenario {
   /// run seed) so enabling churn never perturbs the fork order that every
   /// pre-existing consumer depends on for reproducibility.
   sim::Rng churn_rng_;
-  /// Strip-parallel plane; nullptr when `config.strips == 0` (classic
-  /// serial run). Declared before the stations/attackers below so their
-  /// destructors can still cancel events through their plane handles.
-  std::unique_ptr<sim::StripPlane> plane_;
-  /// The classic standalone queue, used only when no plane exists — kept as
-  /// a member (not conditionally allocated) so serial construction cost and
-  /// layout stay exactly as before.
-  sim::EventQueue events_own_;
-  /// The scenario's scheduling surface: the plane's global handle when
-  /// strip-parallel, else `events_own_`. Everything the scenario itself
-  /// schedules (traffic ticks, workload, churn, attacker construction) goes
-  /// through here and therefore runs in the serial phase.
-  sim::EventQueue& events_;
+  /// Declared before the medium, stations and attackers below so their
+  /// destructors can still cancel events.
+  sim::EventQueue events_;
   security::CertificateAuthority ca_;
   std::unique_ptr<phy::Medium> medium_;
   traffic::RoadSegment road_;
@@ -353,12 +317,6 @@ class HighwayScenario {
   std::vector<IntraAreaFloodRecord> flood_records_;
   std::unordered_map<std::uint64_t, FloodState> floods_pending_;  // id -> state
   bool intra_mode_{false};
-  /// Guards the workload records above inside delivery handlers, which run
-  /// on strip workers in a strip-parallel run. Engaged only when `plane_`
-  /// exists — serial runs take no lock. Every guarded update is
-  /// order-commutative (set removal, counter increment, max), so worker
-  /// interleaving cannot change the result, only protect it.
-  std::mutex delivery_mutex_;
 };
 
 }  // namespace vgr::scenario

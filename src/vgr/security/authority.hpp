@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 
 #include "vgr/net/packet.hpp"
@@ -79,15 +78,6 @@ class TrustStore {
   /// Monotone trust-state version; bumped by the CA on issue and revoke.
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
-  /// Concurrent-verifier mode for strip-parallel runs: the verify entry
-  /// points are logically const but mutate the LRU caches, so when several
-  /// strip workers share one store those mutations must serialize. Off —
-  /// the default — the paths take no lock at all and behave bit-identically
-  /// to every prior build. Verdicts are pure functions of (certificate,
-  /// bytes, signature, generation), so lock-induced cache-order differences
-  /// can never change a result, only hit/miss counters.
-  void set_concurrent(bool on) { concurrent_ = on; }
-
  private:
   friend class CertificateAuthority;
   struct Entry {
@@ -99,12 +89,6 @@ class TrustStore {
   std::uint64_t generation_{0};
 
   [[nodiscard]] bool certificate_valid_uncached(const Certificate& cert) const;
-  /// Cache-consulting bodies, called with cache_mutex_ held when
-  /// `concurrent_` (the public entry points are the only lock sites, so the
-  /// verify -> certificate_valid nesting never double-locks).
-  [[nodiscard]] bool certificate_valid_impl_(const Certificate& cert) const;
-  [[nodiscard]] bool verify_impl_(const Certificate& cert, const net::Bytes& message,
-                                  std::uint64_t signature) const;
 
   // Certificate-validity LRU. Keyed by serial; an entry answers only for the
   // exact certificate value it was computed for (tampered subject bytes under
@@ -135,10 +119,6 @@ class TrustStore {
   mutable std::unordered_map<std::uint64_t, MemoEntry> memo_;
 
   mutable TrustCacheStats stats_;
-
-  /// Guards every mutable cache above; engaged only when `concurrent_`.
-  mutable std::mutex cache_mutex_;
-  bool concurrent_{false};
 };
 
 /// Certification authority (e.g. the US DOT SCMS root in the paper's
@@ -160,11 +140,6 @@ class CertificateAuthority {
 
   [[nodiscard]] std::shared_ptr<const TrustStore> trust_store() const { return store_; }
   [[nodiscard]] std::size_t issued_count() const { return next_serial_ - 1; }
-
-  /// Flips the owned trust store's concurrent-verifier mode (see
-  /// TrustStore::set_concurrent) — verifiers only ever hold const pointers,
-  /// so the switch lives with the owner.
-  void set_store_concurrent(bool on) { store_->set_concurrent(on); }
 
  private:
   EnrolledIdentity issue(net::GnAddress subject, bool pseudonym);

@@ -106,13 +106,6 @@ class SecuredMessage {
   /// copies of this message.
   [[nodiscard]] const SignedPortionPtr& signed_portion() const;
 
-  /// True when the signed-portion cache is already built. Strip-parallel
-  /// sanity probe: the lazy cache builds below are unsynchronized by
-  /// design, so a message may only cross strips cache-warm (sign() builds
-  /// eagerly and the forwarding rewrite preserves it — the medium asserts
-  /// this before fanning a frame out to other strips).
-  [[nodiscard]] bool signed_portion_cached() const { return sp_cache_ != nullptr; }
-
   /// The full wire image (Basic Header + length-prefixed signed portion),
   /// byte-identical to `Codec::encode(packet())`, built on first use.
   [[nodiscard]] const net::Bytes& wire() const;

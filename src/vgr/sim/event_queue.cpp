@@ -3,100 +3,55 @@
 #include <algorithm>
 #include <cassert>
 
-#include "vgr/sim/strip_executor.hpp"
-
 namespace vgr::sim {
 
 EventQueue::~EventQueue() {
   // A non-empty queue at teardown still owns callables (live or retired-
   // but-uncollected); destroy them so captured resources are released.
-  // Only the local slab: records that migrated here with a foreign-region
-  // slot are destroyed by the slot's owning wheel.
-  const std::uint32_t hw = slot_high_water_.load(std::memory_order_relaxed);
-  for (std::uint32_t i = 0; i < hw; ++i) {
-    Slot& s = slot_local_(i);
-    if (s.owner.load(std::memory_order_relaxed) != 0) s.destroy(s.storage);
+  for (std::uint32_t i = 0; i < slot_high_water_; ++i) {
+    Slot& s = slot_at(i);
+    if (s.owner != 0) s.destroy(s.storage);
   }
 }
 
-bool EventQueue::slot_index_valid_(std::uint32_t idx) const {
-  if (plane_ == nullptr) return idx < slot_high_water_.load(std::memory_order_relaxed);
-  if ((idx >> kRegionShift) != strip_) return plane_slot_valid_(idx);
-  return (idx & kRegionLocalMask) < slot_high_water_.load(std::memory_order_relaxed);
-}
-
 std::uint32_t EventQueue::acquire_slot() {
-  if (free_slots_.empty() && plane_ != nullptr) drain_remote_free_();
   if (!free_slots_.empty()) {
     const std::uint32_t idx = free_slots_.back();
     free_slots_.pop_back();
     return idx;
   }
-  const std::uint32_t local = slot_high_water_.load(std::memory_order_relaxed);
-  assert(local < (1U << kRegionShift) && "slot slab exhausted its region");
-  if ((local & (kChunkSlots - 1U)) == 0) {
-    // Wheels pre-reserve the whole chunk table (kWheelChunkCapacity) so the
-    // pointer vector never reallocates while other wheels dereference it.
-    assert((plane_ == nullptr || chunks_.size() < chunks_.capacity()) &&
-           "wheel chunk table exceeded its reserved capacity");
+  const std::uint32_t idx = slot_high_water_++;
+  if ((idx & (kChunkSlots - 1U)) == 0) {
     chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
   }
-  slot_high_water_.store(local + 1U, std::memory_order_relaxed);
-  return region_base_ | local;
-}
-
-void EventQueue::release_slot_(std::uint32_t idx) {
-  if (plane_ == nullptr || (idx >> kRegionShift) == strip_) {
-    free_slots_.push_back(idx);
-    return;
-  }
-  plane_remote_release_(idx);
-}
-
-void EventQueue::drain_remote_free_() {
-  const std::lock_guard<std::mutex> lock(remote_mutex_);
-  free_slots_.insert(free_slots_.end(), remote_free_.begin(), remote_free_.end());
-  remote_free_.clear();
-}
-
-void EventQueue::push_remote_free_(std::uint32_t idx) {
-  const std::lock_guard<std::mutex> lock(remote_mutex_);
-  remote_free_.push_back(idx);
+  return idx;
 }
 
 CohortId EventQueue::make_cohort() {
-  if (plane_ != nullptr) return plane_make_cohort_();
   const auto idx = static_cast<std::uint32_t>(cohorts_.size());
   cohorts_.push_back(Cohort{});
   return CohortId{idx};
 }
 
 std::size_t EventQueue::cancel_cohort(CohortId cohort) {
-  if (plane_ != nullptr && !is_wheel_) return plane_wheel_().cancel_cohort(cohort);
   assert(cohort.value != 0 && "the default cohort cannot be retired");
-  if (cohort.value == 0) return 0;
-  if (plane_ == nullptr && cohort.value >= cohorts_.size()) return 0;
-  Cohort& c = cohort_ref(cohort.value);
+  if (cohort.value == 0 || cohort.value >= cohorts_.size()) return 0;
+  Cohort& c = cohorts_[cohort.value];
   const std::size_t retired = c.pending;
   live_count_ -= retired;
   c.pending = 0;
   ++c.gen;
   if (cache_valid_) {
     const Slot& s = slot_at(cache_.slot);
-    if (s.owner.load(std::memory_order_relaxed) == cache_.id && s.cohort == cohort.value) {
-      cache_valid_ = false;
-    }
+    if (s.owner == cache_.id && s.cohort == cohort.value) cache_valid_ = false;
   }
   return retired;
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (plane_ != nullptr && !is_wheel_) return plane_wheel_().cancel(id);
-  if (id.value == 0 || !slot_index_valid_(id.slot)) return false;
+  if (id.value == 0 || id.slot >= slot_high_water_) return false;
   Slot& s = slot_at(id.slot);
-  if (s.owner.load(std::memory_order_relaxed) != id.value) {
-    return false;  // already fired or cancelled
-  }
+  if (s.owner != id.value) return false;  // already fired or cancelled
   const bool was_live = s.gen == cohort_ref(s.cohort).gen;
   if (was_live) {
     --live_count_;
@@ -105,35 +60,31 @@ bool EventQueue::cancel(EventId id) {
   // Either way the slot's callable is done for; collect it eagerly (the
   // calendar record is dropped lazily when it surfaces).
   s.destroy(s.storage);
-  s.owner.store(0, std::memory_order_relaxed);
-  release_slot_(id.slot);
+  s.owner = 0;
+  free_slots_.push_back(id.slot);
   if (cache_valid_ && cache_.id == id.value) cache_valid_ = false;
   return was_live;
 }
 
 bool EventQueue::pending(EventId id) const {
-  if (plane_ != nullptr && !is_wheel_) return plane_wheel_().pending(id);
-  if (id.value == 0 || !slot_index_valid_(id.slot)) return false;
+  if (id.value == 0 || id.slot >= slot_high_water_) return false;
   const Slot& s = slot_at(id.slot);
-  return s.owner.load(std::memory_order_relaxed) == id.value &&
-         s.gen == cohort_ref(s.cohort).gen;
+  return s.owner == id.value && s.gen == cohort_ref(s.cohort).gen;
 }
 
 bool EventQueue::rec_dead(const Rec& r) const {
   const Slot& s = slot_at(r.slot);
-  if (s.owner.load(std::memory_order_relaxed) != r.id) {
-    return true;  // fired, cancelled, or slot reused
-  }
+  if (s.owner != r.id) return true;  // fired, cancelled, or slot reused
   return s.gen != cohort_ref(s.cohort).gen;
 }
 
 void EventQueue::collect_dead(const Rec& r) {
   Slot& s = slot_at(r.slot);
-  if (s.owner.load(std::memory_order_relaxed) == r.id) {
+  if (s.owner == r.id) {
     // Cohort-retired: the callable is still in place.
     s.destroy(s.storage);
-    s.owner.store(0, std::memory_order_relaxed);
-    release_slot_(r.slot);
+    s.owner = 0;
+    free_slots_.push_back(r.slot);
   }
 }
 
@@ -146,20 +97,21 @@ void EventQueue::cleanup_top(std::vector<Rec>& bucket) {
   }
 }
 
-void EventQueue::insert_rec(TimePoint when, std::uint64_t id, std::uint32_t slot,
-                            std::uint32_t handle) {
+void EventQueue::insert_rec(const Rec& rec) {
   if (recs_ + 1 > 2 * buckets_.size() && buckets_.size() < kMaxBuckets) {
     rebuild_buckets(buckets_.size() * 2);
   }
-  auto& bucket = buckets_[static_cast<std::size_t>(tick_of(when)) & bucket_mask_];
-  bucket.push_back(Rec{when, id, slot, handle});
+  const std::size_t b = static_cast<std::size_t>(tick_of(rec.when)) & bucket_mask_;
+  auto& bucket = buckets_[b];
+  bucket.push_back(rec);
   std::push_heap(bucket.begin(), bucket.end(), RecAfter{});
   ++recs_;
-  // A strictly earlier event displaces the cached minimum (ties cannot:
-  // the fresh id is the largest issued, so FIFO keeps the cache in front).
-  if (cache_valid_ && when < cache_.when) {
-    cache_ = Rec{when, id, slot, handle};
-    cache_bucket_ = static_cast<std::size_t>(tick_of(when)) & bucket_mask_;
+  // The cached minimum survives only a record that fires after it. A
+  // reserved number can be smaller than the cached one at the same
+  // instant, so comparing timestamps alone is not enough.
+  if (cache_valid_ && RecAfter{}(cache_, rec)) {
+    cache_ = rec;
+    cache_bucket_ = b;
   }
 }
 
@@ -234,7 +186,6 @@ void EventQueue::pop_front() {
 }
 
 bool EventQueue::step() {
-  if (plane_ != nullptr && !is_wheel_) return plane_wheel_().step();
   const Rec* top = peek();
   if (top == nullptr) return false;
   const Rec r = *top;
@@ -246,21 +197,17 @@ bool EventQueue::step() {
   // own id must see "already fired", and the slot is only recycled after
   // the callable has been destroyed, so reentrant schedules cannot clobber
   // the running closure even though they may acquire fresh slots.
-  s.owner.store(0, std::memory_order_relaxed);
+  s.owner = 0;
   --live_count_;
   --cohort_ref(s.cohort).pending;
   ++fired_;
   s.invoke(s.storage);
   s.destroy(s.storage);
-  release_slot_(r.slot);
+  free_slots_.push_back(r.slot);
   return true;
 }
 
 void EventQueue::run_until(TimePoint until) {
-  if (plane_ != nullptr) {
-    plane_run_until_(until);
-    return;
-  }
   const bool budgeted = budget_events_end_ != 0 || has_wall_deadline_;
   for (;;) {
     // peek() surfaces only live events, so a cancelled event sitting at
@@ -280,58 +227,7 @@ void EventQueue::run_until(TimePoint until) {
   if (now_ < until) now_ = until;
 }
 
-std::uint64_t EventQueue::run_window_(TimePoint bound_incl, std::uint64_t max_fire,
-                                      const std::atomic<bool>* abort) {
-  assert(is_wheel_ || plane_ == nullptr);
-  std::uint64_t n = 0;
-  while (n < max_fire) {
-    if (abort != nullptr && (n & 0xFFFU) == 0xFFFU &&
-        abort->load(std::memory_order_relaxed)) {
-      break;
-    }
-    const Rec* top = peek();
-    if (top == nullptr || top->when > bound_incl) break;
-    step();
-    ++n;
-  }
-  if (now_ < bound_incl) now_ = bound_incl;
-  return n;
-}
-
-bool EventQueue::next_when_(TimePoint& out) {
-  const Rec* top = peek();
-  if (top == nullptr) return false;
-  out = top->when;
-  return true;
-}
-
-EventId EventQueue::schedule_posted_(TimePoint when, std::uint32_t handle_tag,
-                                     Callback fn) {
-  assert(is_wheel_ || plane_ == nullptr);
-  if (when < now_) when = now_;
-  const std::uint32_t slot_idx = acquire_slot();
-  Slot& s = slot_at(slot_idx);
-  using Fn = Callback;
-  static_assert(sizeof(Fn) <= kInlineCallbackBytes &&
-                alignof(Fn) <= alignof(std::max_align_t));
-  ::new (static_cast<void*>(s.storage)) Fn(std::move(fn));
-  s.invoke = [](void* p) { (*static_cast<Fn*>(p))(); };
-  s.destroy = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
-  const EventId id{id_base_ + next_id_++, slot_idx};
-  s.owner.store(id.value, std::memory_order_relaxed);
-  s.cohort = 0;
-  s.gen = cohorts_[0].gen;
-  ++cohorts_[0].pending;
-  ++live_count_;
-  insert_rec(when, id.value, slot_idx, handle_tag);
-  return id;
-}
-
 void EventQueue::set_run_budget(std::uint64_t max_events, double wall_seconds) {
-  if (plane_ != nullptr) {
-    plane_set_budget_(max_events, wall_seconds);
-    return;
-  }
   budget_exceeded_ = false;
   budget_trip_ = BudgetTrip::kNone;
   budget_events_end_ = max_events == 0 ? 0 : fired_ + max_events;
@@ -353,83 +249,6 @@ BudgetTrip EventQueue::budget_tripped() {
     return BudgetTrip::kWall;
   }
   return BudgetTrip::kNone;
-}
-
-// --- Strip-plane forwarding -----------------------------------------------
-// Out-of-line so event_queue.hpp does not depend on strip_executor.hpp (the
-// plane holds EventQueues by value; the include edge must point this way).
-
-void EventQueue::init_wheel_(StripPlane* plane, std::uint32_t strip) {
-  plane_ = plane;
-  strip_ = strip;
-  is_wheel_ = true;
-  region_base_ = strip << kRegionShift;
-  id_base_ = static_cast<std::uint64_t>(strip) << 56U;
-  chunks_.reserve(kWheelChunkCapacity);
-}
-
-void EventQueue::init_handle_(StripPlane* plane, std::uint32_t strip,
-                              std::uint32_t handle_id) {
-  plane_ = plane;
-  strip_ = strip;
-  handle_id_ = handle_id;
-}
-
-EventQueue& EventQueue::plane_wheel_() { return plane_->wheel_(strip_); }
-
-const EventQueue& EventQueue::plane_wheel_() const { return plane_->wheel_(strip_); }
-
-EventQueue::Slot& EventQueue::plane_slot_(std::uint32_t idx) {
-  return plane_->wheel_(idx >> kRegionShift).slot_local_(idx & kRegionLocalMask);
-}
-
-const EventQueue::Slot& EventQueue::plane_slot_(std::uint32_t idx) const {
-  return plane_->wheel_(idx >> kRegionShift).slot_local_(idx & kRegionLocalMask);
-}
-
-bool EventQueue::plane_slot_valid_(std::uint32_t idx) const {
-  const EventQueue& owner = plane_->wheel_(idx >> kRegionShift);
-  return (idx & kRegionLocalMask) <
-         owner.slot_high_water_.load(std::memory_order_relaxed);
-}
-
-EventQueue::Cohort& EventQueue::plane_cohort_(std::uint32_t v) {
-  return plane_->shared_cohort_(v);
-}
-
-const EventQueue::Cohort& EventQueue::plane_cohort_(std::uint32_t v) const {
-  return plane_->shared_cohort_(v);
-}
-
-TimePoint EventQueue::plane_now_() const { return plane_->wheel_(strip_).now_; }
-
-std::uint64_t EventQueue::plane_fired_() const {
-  return is_wheel_ ? fired_ : plane_->fired_total();
-}
-
-std::size_t EventQueue::plane_pending_() const {
-  return is_wheel_ ? live_count_ : plane_->pending_total();
-}
-
-bool EventQueue::plane_budget_exceeded_() const { return plane_->budget_exceeded(); }
-
-BudgetTrip EventQueue::plane_budget_trip_() const { return plane_->budget_trip(); }
-
-CohortId EventQueue::plane_make_cohort_() { return plane_->make_shared_cohort_(); }
-
-void EventQueue::plane_remote_release_(std::uint32_t idx) {
-  plane_->wheel_(idx >> kRegionShift).push_remote_free_(idx);
-}
-
-void EventQueue::plane_run_until_(TimePoint until) {
-  assert(!is_wheel_ && handle_id_ == 0 &&
-         "only the global plane handle drives the executor");
-  plane_->run_until(until);
-}
-
-void EventQueue::plane_set_budget_(std::uint64_t max_events, double wall_seconds) {
-  assert(!is_wheel_ && handle_id_ == 0);
-  plane_->set_run_budget(max_events, wall_seconds);
 }
 
 }  // namespace vgr::sim

@@ -1,13 +1,11 @@
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -16,8 +14,6 @@
 #include "vgr/sim/time.hpp"
 
 namespace vgr::sim {
-
-class StripPlane;
 
 /// Handle for a scheduled event; used to cancel timers (e.g. a CBF
 /// contention timer that is stopped when a duplicate packet arrives).
@@ -45,9 +41,10 @@ enum class BudgetTrip : std::uint8_t { kNone, kEvents, kWall };
 
 /// Discrete-event scheduler.
 ///
-/// Events at equal timestamps fire in scheduling order (FIFO), which keeps
-/// runs deterministic. Callbacks may schedule or cancel further events,
-/// including at the current instant.
+/// Events at equal timestamps fire in event-number order, which is
+/// scheduling order (FIFO) unless numbers were reserved ahead of time (see
+/// reserve_ids). This keeps runs deterministic. Callbacks may schedule or
+/// cancel further events, including at the current instant.
 ///
 /// Memory plane (ROADMAP item 4): callbacks live in fixed-size slots of a
 /// slab allocator (no per-schedule heap allocation as long as the callable
@@ -60,22 +57,12 @@ enum class BudgetTrip : std::uint8_t { kNone, kEvents, kWall };
 /// thousands of timers one by one. Determinism is unaffected: a retired
 /// event is skipped exactly where it would have fired, so the relative
 /// order of surviving events never changes.
-///
-/// Strip plane (ROADMAP item 3): a queue normally stands alone and runs
-/// serially. Under space-partitioned execution a `StripPlane` owns one
-/// *wheel* (a plain EventQueue used as the per-strip calendar) per spatial
-/// strip plus a global wheel, and hands out lightweight *handles* — also
-/// EventQueues — that forward every schedule/cancel/run call to the wheel
-/// of their current home strip. Standalone queues pay for none of this
-/// beyond a handful of `plane_ == nullptr` branches on predictable-not-
-/// taken paths: with strips off the behaviour (including every assigned
-/// EventId) is bit-identical to the pre-plane implementation.
 class EventQueue {
  public:
   /// Callables up to this size (and max_align_t alignment) are stored
   /// inline in their slab slot; larger ones fall back to one boxed heap
-  /// allocation. Sized for the fattest steady-state capture (the medium's
-  /// per-receiver delivery closure) with headroom.
+  /// allocation. Sized for the fattest steady-state capture (an attacker's
+  /// replay closure, which holds a whole phy::Frame) with headroom.
   static constexpr std::size_t kInlineCallbackBytes = 96;
 
   /// Source-compat alias: std::function still schedules fine (it is simply
@@ -87,9 +74,8 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Current simulation time. Starts at the origin. On a plane handle this
-  /// is the clock of the handle's home wheel.
-  [[nodiscard]] TimePoint now() const { return plane_ == nullptr ? now_ : plane_now_(); }
+  /// Current simulation time. Starts at the origin.
+  [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedules `f` at absolute time `when` (must be >= now()).
   template <typename F>
@@ -101,52 +87,48 @@ class EventQueue {
   template <typename F>
   EventId schedule_in(Duration delay, F&& f) {
     assert(delay >= Duration::zero());
-    return schedule_at(now() + delay, CohortId{}, std::forward<F>(f));
+    return schedule_at(now_ + delay, CohortId{}, std::forward<F>(f));
   }
 
   /// Schedules `f` at `when` as a member of `cohort` (from make_cohort).
   template <typename F>
   EventId schedule_at(TimePoint when, CohortId cohort, F&& f) {
-    using Fn = std::decay_t<F>;
-    EventQueue& q = plane_ == nullptr ? *this : plane_wheel_();
-    assert(when >= q.now_ && "cannot schedule into the past");
-    if (when < q.now_) when = q.now_;
-    const std::uint32_t slot_idx = q.acquire_slot();
-    Slot& s = q.slot_at(slot_idx);
-    if constexpr (sizeof(Fn) <= kInlineCallbackBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(s.storage)) Fn(std::forward<F>(f));
-      s.invoke = [](void* p) { (*static_cast<Fn*>(p))(); };
-      s.destroy = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
-    } else {
-      // Boxed fallback: one heap allocation, still a uniform slot layout.
-      ::new (static_cast<void*>(s.storage)) Fn*(new Fn(std::forward<F>(f)));
-      s.invoke = [](void* p) { (**static_cast<Fn**>(p))(); };
-      s.destroy = [](void* p) { delete *static_cast<Fn**>(p); };
-    }
-    const EventId id{q.id_base_ + q.next_id_++, slot_idx};
-    s.owner.store(id.value, std::memory_order_relaxed);
-    s.cohort = cohort.value;
-    Cohort& co = q.cohort_ref(cohort.value);
-    s.gen = co.gen;
-    ++co.pending;
-    ++q.live_count_;
-    q.insert_rec(when, id.value, slot_idx, handle_id_);
-    return id;
+    return emplace(when, cohort, next_id_++, std::forward<F>(f));
   }
 
   /// Schedules `f` after `delay` as a member of `cohort`.
   template <typename F>
   EventId schedule_in(Duration delay, CohortId cohort, F&& f) {
     assert(delay >= Duration::zero());
-    return schedule_at(now() + delay, cohort, std::forward<F>(f));
+    return schedule_at(now_ + delay, cohort, std::forward<F>(f));
+  }
+
+  /// Reserves `n` consecutive event numbers and returns the first. Each
+  /// reserved number is later spent on exactly one schedule_reserved call.
+  /// Because numbers break ties between equal timestamps, an event
+  /// scheduled late under a number reserved early fires exactly where it
+  /// would have fired had it been scheduled at reservation time: after
+  /// every event numbered before the block, before every event numbered
+  /// after it. The medium uses this to keep one calendar entry per frame
+  /// in flight while its receivers fire as if each had its own event.
+  std::uint64_t reserve_ids(std::uint64_t n) {
+    const std::uint64_t first = next_id_;
+    next_id_ += n;
+    return first;
+  }
+
+  /// Schedules `f` at `when` (>= now()) under `id`, a number obtained from
+  /// reserve_ids and not spent yet. The event belongs to the default
+  /// cohort.
+  template <typename F>
+  EventId schedule_reserved(TimePoint when, std::uint64_t id, F&& f) {
+    assert(id != 0 && id < next_id_ && "schedule_reserved needs a number from reserve_ids");
+    return emplace(when, CohortId{}, id, std::forward<F>(f));
   }
 
   /// Creates a new cancellation cohort. Cohorts are a few bytes each and
   /// live as long as the queue (routers churn in the thousands per run, so
-  /// recycling them buys nothing). Under a strip plane, cohort creation is
-  /// restricted to the serial phase (router construction happens in spawn /
-  /// reboot events on the global wheel, never inside a strip window).
+  /// recycling them buys nothing).
   CohortId make_cohort();
 
   /// Retires every pending event of `cohort` in O(1) (generation bump; the
@@ -166,24 +148,17 @@ class EventQueue {
 
   /// Runs events until the queue is empty or `until` is reached. Time
   /// advances to `until` even if the queue drains earlier. Events scheduled
-  /// exactly at `until` do fire. On the global plane handle this drives the
-  /// whole strip executor (windowed parallel run); see sim/strip_executor.
+  /// exactly at `until` do fire.
   void run_until(TimePoint until);
 
   /// Runs a single event if one is pending; returns false when drained.
   bool step();
 
-  /// Number of events that are scheduled and not cancelled (summed across
-  /// every wheel when the queue is a plane handle).
-  [[nodiscard]] std::size_t pending_count() const {
-    return plane_ == nullptr ? live_count_ : plane_pending_();
-  }
+  /// Number of events that are scheduled and not cancelled.
+  [[nodiscard]] std::size_t pending_count() const { return live_count_; }
 
-  /// Total number of callbacks executed so far (for stats/tests; summed
-  /// across every wheel when the queue is a plane handle).
-  [[nodiscard]] std::uint64_t fired_count() const {
-    return plane_ == nullptr ? fired_ : plane_fired_();
-  }
+  /// Total number of callbacks executed so far (for stats/tests).
+  [[nodiscard]] std::uint64_t fired_count() const { return fired_; }
 
   /// Per-run circuit breaker (the parallel harness's watchdog): run_until
   /// stops early once `max_events` further callbacks have fired or
@@ -191,58 +166,26 @@ class EventQueue {
   /// The event-count breaker is deterministic; the wall-clock one (checked
   /// every 4096 events) is best-effort protection against a hung run and is
   /// inherently host-dependent — opt-in only. Calling this resets
-  /// budget_exceeded(). Under a strip plane the budget is kept plane-wide:
-  /// each wheel counts its own fires and the executor aggregates them at
-  /// every window boundary, so the events-vs-wall trip cause cannot be
-  /// misattributed by one strip racing ahead of the shared counter.
+  /// budget_exceeded().
   void set_run_budget(std::uint64_t max_events, double wall_seconds);
 
   /// True when the last run_until stopped on the budget rather than on
   /// `until` (the run is reported as timed out by the scenario harness).
-  [[nodiscard]] bool budget_exceeded() const {
-    return plane_ == nullptr ? budget_exceeded_ : plane_budget_exceeded_();
-  }
+  [[nodiscard]] bool budget_exceeded() const { return budget_exceeded_; }
 
   /// Which bound tripped when budget_exceeded() is true; kNone otherwise.
   /// Reset by set_run_budget together with budget_exceeded().
-  [[nodiscard]] BudgetTrip budget_trip() const {
-    return plane_ == nullptr ? budget_trip_ : plane_budget_trip_();
-  }
-
-  /// The strip plane this queue belongs to (wheel or handle), or null for
-  /// an ordinary standalone queue.
-  [[nodiscard]] StripPlane* plane() const { return plane_; }
-
-  /// Home strip of a plane handle (0 = the global wheel; wheels report
-  /// their own index; standalone queues report 0).
-  [[nodiscard]] std::uint32_t strip() const { return strip_; }
+  [[nodiscard]] BudgetTrip budget_trip() const { return budget_trip_; }
 
  private:
-  friend class StripPlane;
-
   // --- Callback slab ----------------------------------------------------
   // Fixed-size slots in stable chunks; a free list recycles them, so the
   // steady state of a run performs no heap allocation per schedule. A
   // slot's `owner` is the holder's EventId value while the slot contains a
   // live callable and 0 otherwise — that one field resolves "already
   // fired", "already cancelled" and "slot reused by a newer event" at once.
-  //
-  // Under a strip plane every wheel owns its own slab, and slot indices are
-  // region-tagged with the wheel index in the top bits: a record migrated to
-  // another wheel (vehicle crossed a strip boundary) keeps referring to its
-  // origin slab, and freeing such a slot goes through the origin wheel's
-  // mutex-guarded remote free list. Standalone queues always use region 0
-  // and never take either branch.
   struct Slot {
-    // Atomic because of exactly one cross-thread probe: a wheel holding a
-    // *dead* migrated record may rec_dead()-check a foreign slot while the
-    // origin wheel (which already got the slot back through the mutex-
-    // synchronized remote free list) reuses it. Owner ids are unique per
-    // wheel and never reused, so any relaxed-visible value other than the
-    // record's own id means "dead" — every live-slot access is still
-    // single-writer through the window barriers. Relaxed loads/stores
-    // compile to the plain moves the serial build always had.
-    std::atomic<std::uint64_t> owner{0};
+    std::uint64_t owner{0};
     void (*invoke)(void*){nullptr};
     void (*destroy)(void*){nullptr};
     std::uint32_t cohort{0};
@@ -251,37 +194,43 @@ class EventQueue {
   };
   static constexpr std::uint32_t kChunkSlotsLog2 = 10;  // 1024 slots / chunk
   static constexpr std::uint32_t kChunkSlots = 1U << kChunkSlotsLog2;
-  static constexpr std::uint32_t kRegionShift = 24;  // 16M slots per wheel
-  static constexpr std::uint32_t kRegionLocalMask = (1U << kRegionShift) - 1U;
-  // Reserved capacity of a wheel's chunk-pointer table. Covering the whole
-  // region up front means the vector data pointer never moves, so records
-  // migrated across wheels can dereference a foreign slab without racing a
-  // concurrent chunk append (the elements they read were published by an
-  // earlier window barrier).
-  static constexpr std::size_t kWheelChunkCapacity =
-      std::size_t{1} << (kRegionShift - kChunkSlotsLog2);
 
-  [[nodiscard]] Slot& slot_local_(std::uint32_t local) {
-    return chunks_[local >> kChunkSlotsLog2][local & (kChunkSlots - 1U)];
-  }
-  [[nodiscard]] const Slot& slot_local_(std::uint32_t local) const {
-    return chunks_[local >> kChunkSlotsLog2][local & (kChunkSlots - 1U)];
-  }
   [[nodiscard]] Slot& slot_at(std::uint32_t idx) {
-    if (plane_ != nullptr && (idx >> kRegionShift) != strip_) return plane_slot_(idx);
-    return slot_local_(idx & kRegionLocalMask);
+    return chunks_[idx >> kChunkSlotsLog2][idx & (kChunkSlots - 1U)];
   }
   [[nodiscard]] const Slot& slot_at(std::uint32_t idx) const {
-    if (plane_ != nullptr && (idx >> kRegionShift) != strip_) return plane_slot_(idx);
-    return slot_local_(idx & kRegionLocalMask);
+    return chunks_[idx >> kChunkSlotsLog2][idx & (kChunkSlots - 1U)];
   }
-  [[nodiscard]] bool slot_index_valid_(std::uint32_t idx) const;
   [[nodiscard]] std::uint32_t acquire_slot();
-  /// Returns a slot to its owning region's free list (directly for our own
-  /// region, via the owning wheel's remote free list otherwise).
-  void release_slot_(std::uint32_t idx);
-  void drain_remote_free_();
-  void push_remote_free_(std::uint32_t idx);
+
+  /// Constructs `f` in a fresh slot and files it under (when, id).
+  template <typename F>
+  EventId emplace(TimePoint when, CohortId cohort, std::uint64_t id, F&& f) {
+    using Fn = std::decay_t<F>;
+    assert(when >= now_ && "cannot schedule into the past");
+    if (when < now_) when = now_;
+    const std::uint32_t slot_idx = acquire_slot();
+    Slot& s = slot_at(slot_idx);
+    if constexpr (sizeof(Fn) <= kInlineCallbackBytes &&
+                  alignof(Fn) <= alignof(std::max_align_t)) {
+      ::new (static_cast<void*>(s.storage)) Fn(std::forward<F>(f));
+      s.invoke = [](void* p) { (*static_cast<Fn*>(p))(); };
+      s.destroy = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
+    } else {
+      // Boxed fallback: one heap allocation, still a uniform slot layout.
+      ::new (static_cast<void*>(s.storage)) Fn*(new Fn(std::forward<F>(f)));
+      s.invoke = [](void* p) { (**static_cast<Fn**>(p))(); };
+      s.destroy = [](void* p) { delete *static_cast<Fn**>(p); };
+    }
+    s.owner = id;
+    s.cohort = cohort.value;
+    Cohort& co = cohort_ref(cohort.value);
+    s.gen = co.gen;
+    ++co.pending;
+    ++live_count_;
+    insert_rec(Rec{when, id, slot_idx});
+    return EventId{id, slot_idx};
+  }
 
   // --- Calendar queue ---------------------------------------------------
   // Power-of-two ring of buckets, each a min-heap (std::push_heap/pop_heap
@@ -293,8 +242,6 @@ class EventQueue {
     TimePoint when;
     std::uint64_t id;
     std::uint32_t slot;
-    std::uint32_t handle;  ///< scheduling plane handle (0 standalone/global);
-                           ///< lets strip migration sweep one handle's records
   };
   static constexpr std::uint32_t kBucketWidthLog2 = 19;
   static constexpr std::size_t kMinBuckets = 256;
@@ -305,15 +252,14 @@ class EventQueue {
   struct RecAfter {
     bool operator()(const Rec& a, const Rec& b) const {
       if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;  // FIFO among equal timestamps
+      return a.id > b.id;  // event-number order among equal timestamps
     }
   };
   [[nodiscard]] static std::uint64_t tick_of(TimePoint t) {
     return static_cast<std::uint64_t>(t.count()) >> kBucketWidthLog2;
   }
 
-  void insert_rec(TimePoint when, std::uint64_t id, std::uint32_t slot,
-                  std::uint32_t handle);
+  void insert_rec(const Rec& rec);
   /// Earliest live record, skipping (and collecting) retired ones; null
   /// when drained. The result is cached until the queue changes shape.
   [[nodiscard]] const Rec* peek();
@@ -335,52 +281,12 @@ class EventQueue {
   };
 
   [[nodiscard]] Cohort& cohort_ref(std::uint32_t v) {
-    if (plane_ == nullptr || v == 0) {
-      assert(v < cohorts_.size());
-      return cohorts_[v];
-    }
-    return plane_cohort_(v);
+    assert(v < cohorts_.size());
+    return cohorts_[v];
   }
   [[nodiscard]] const Cohort& cohort_ref(std::uint32_t v) const {
-    if (plane_ == nullptr || v == 0) {
-      assert(v < cohorts_.size());
-      return cohorts_[v];
-    }
-    return plane_cohort_(v);
-  }
-
-  // --- Strip-plane plumbing (inert for standalone queues) ---------------
-  // Out-of-line so this header does not need strip_executor.hpp.
-  void init_wheel_(StripPlane* plane, std::uint32_t strip);
-  void init_handle_(StripPlane* plane, std::uint32_t strip, std::uint32_t handle_id);
-  [[nodiscard]] EventQueue& plane_wheel_();
-  [[nodiscard]] const EventQueue& plane_wheel_() const;
-  [[nodiscard]] Slot& plane_slot_(std::uint32_t idx);
-  [[nodiscard]] const Slot& plane_slot_(std::uint32_t idx) const;
-  [[nodiscard]] bool plane_slot_valid_(std::uint32_t idx) const;
-  [[nodiscard]] Cohort& plane_cohort_(std::uint32_t v);
-  [[nodiscard]] const Cohort& plane_cohort_(std::uint32_t v) const;
-  [[nodiscard]] TimePoint plane_now_() const;
-  [[nodiscard]] std::uint64_t plane_fired_() const;
-  [[nodiscard]] std::size_t plane_pending_() const;
-  [[nodiscard]] bool plane_budget_exceeded_() const;
-  [[nodiscard]] BudgetTrip plane_budget_trip_() const;
-  CohortId plane_make_cohort_();
-  void plane_remote_release_(std::uint32_t idx);
-  void plane_run_until_(TimePoint until);
-  void plane_set_budget_(std::uint64_t max_events, double wall_seconds);
-
-  /// Wheel-side entry for the executor's mailbox drain: schedules an
-  /// already-type-erased callback tagged with the destination handle.
-  EventId schedule_posted_(TimePoint when, std::uint32_t handle_tag, Callback fn);
-  /// Runs every event with when <= `bound_incl` (stopping after `max_fire`
-  /// events or when `abort` is raised), then advances the clock to the
-  /// bound. Returns how many events fired.
-  std::uint64_t run_window_(TimePoint bound_incl, std::uint64_t max_fire,
-                            const std::atomic<bool>* abort);
-  [[nodiscard]] bool next_when_(TimePoint& out);
-  void advance_to_(TimePoint t) {
-    if (now_ < t) now_ = t;
+    assert(v < cohorts_.size());
+    return cohorts_[v];
   }
 
   TimePoint now_{};
@@ -395,9 +301,7 @@ class EventQueue {
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_slots_;
-  // Relaxed atomic: single-writer (the owning wheel), but cancel/pending on
-  // a migrated record validates a foreign region's high-water mark.
-  std::atomic<std::uint32_t> slot_high_water_{0};
+  std::uint32_t slot_high_water_{0};
 
   std::vector<Cohort> cohorts_{Cohort{}};  // [0] = default, never retired
 
@@ -408,16 +312,6 @@ class EventQueue {
   bool cache_valid_{false};
   Rec cache_{};
   std::size_t cache_bucket_{0};
-
-  StripPlane* plane_{nullptr};
-  std::uint32_t strip_{0};      ///< wheels: own index; handles: current home
-  std::uint32_t handle_id_{0};  ///< handles: plane registry index (0 = global)
-  bool is_wheel_{false};
-  std::uint32_t region_base_{0};  ///< wheels: strip_ << kRegionShift
-  std::uint64_t id_base_{0};      ///< wheels: strip_ << 56 keeps ids unique plane-wide
-
-  std::mutex remote_mutex_;
-  std::vector<std::uint32_t> remote_free_;  ///< slots freed by other wheels
 
   static std::vector<std::vector<Rec>> make_initial_buckets() {
     return std::vector<std::vector<Rec>>(kMinBuckets);

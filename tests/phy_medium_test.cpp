@@ -327,6 +327,18 @@ TEST_F(DeliveryOrderTest, InterferenceCorruptsOnlyOverlappingReceptions) {
   EXPECT_GT(medium_.frames_collided(), 0u);
 }
 
+TEST_F(DeliveryOrderTest, OneCalendarEntryPerFrameOneFiredEventPerDelivery) {
+  // A's broadcast reaches the six other nodes: the queue holds one entry for
+  // the whole flight, yet every delivery still counts as one fired event.
+  const std::uint64_t fired_before = events_.fired_count();
+  send('A');
+  EXPECT_EQ(events_.pending_count(), 1u);
+  events_.run_until(t0_ + 1_s);
+  EXPECT_EQ(events_.fired_count() - fired_before, 6u);
+  EXPECT_EQ(medium_.frames_delivered(), 6u);
+  EXPECT_EQ(events_.pending_count(), 0u);
+}
+
 TEST(Technology, TableIIRanges) {
   const RangeTable dsrc = range_table(AccessTechnology::kDsrc);
   EXPECT_DOUBLE_EQ(dsrc.los_median_m, 1283.0);

@@ -188,6 +188,57 @@ TEST(EventQueue, ManyEventsStressOrdering) {
   for (std::size_t i = 1; i < seen.size(); ++i) EXPECT_LE(seen[i - 1], seen[i]);
 }
 
+// --- Reserved event numbers -------------------------------------------------
+
+TEST(EventQueue, ReservedNumbersFireInNumberOrderAmongEqualTimestamps) {
+  // Reserved, then scheduled in reverse, then followed by a plain event
+  // scheduled earlier than any of them: number order decides the ties.
+  EventQueue q;
+  std::vector<int> order;
+  const std::uint64_t first = q.reserve_ids(3);
+  const TimePoint t = TimePoint::at(1_s);
+  q.schedule_at(t, [&] { order.push_back(3); });
+  for (int i = 2; i >= 0; --i) {
+    q.schedule_reserved(t, first + static_cast<std::uint64_t>(i),
+                        [&order, i] { order.push_back(i); });
+  }
+  q.schedule_at(t, [&] { order.push_back(4); });
+  q.run_until(TimePoint::at(2_s));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(q.fired_count(), 5u);
+}
+
+TEST(EventQueue, ReservedNumberScheduledMidRunKeepsItsPlace) {
+  // A callback at time t spends a number reserved before another event at
+  // t was scheduled: the reserved event still fires first.
+  EventQueue q;
+  std::vector<int> order;
+  const std::uint64_t reserved = q.reserve_ids(1);
+  const TimePoint t = TimePoint::at(1_s);
+  q.schedule_at(t, [&] {
+    order.push_back(0);
+    q.schedule_reserved(t, reserved, [&] { order.push_back(1); });
+  });
+  q.schedule_at(t, [&] { order.push_back(2); });
+  q.run_until(TimePoint::at(2_s));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueue, ReservedNumberDisplacesACachedMinimumAtTheSameInstant) {
+  // run_until(t - 1 ns) leaves the plain event at t cached as the queue's
+  // minimum. A reserved number at t is smaller than the cached one, so it
+  // must displace the cache although the timestamps are equal.
+  EventQueue q;
+  std::vector<int> order;
+  const std::uint64_t reserved = q.reserve_ids(1);
+  const TimePoint t = TimePoint::at(1_s);
+  q.schedule_at(t, [&] { order.push_back(1); });
+  q.run_until(t - Duration::nanos(1));
+  q.schedule_reserved(t, reserved, [&] { order.push_back(0); });
+  q.run_until(t);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
 // --- Per-run watchdog (the parallel harness's circuit breaker) ------------
 
 TEST(EventQueue, RunBudgetStopsAfterExactEventCount) {

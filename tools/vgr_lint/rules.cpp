@@ -52,12 +52,9 @@ bool path_is(std::string_view rel_path, std::initializer_list<std::string_view> 
 // VGR001 — wall-clock access outside the simulator's virtual clock.
 // ---------------------------------------------------------------------------
 void rule_wall_clock(Linter& lint) {
-  if (path_is(lint.rel_path,
-              {"src/vgr/sim/event_queue.cpp", "src/vgr/sim/event_queue.hpp",
-               "src/vgr/sim/strip_executor.cpp", "src/vgr/sim/strip_executor.hpp"})) {
+  if (path_is(lint.rel_path, {"src/vgr/sim/event_queue.cpp", "src/vgr/sim/event_queue.hpp"})) {
     // The per-run watchdog's wall deadline is the one sanctioned consumer of
-    // real time inside the simulator (documented in event_queue.hpp); the
-    // strip executor hosts the same watchdog plane-wide.
+    // real time inside the simulator (documented in event_queue.hpp).
     return;
   }
   static const std::set<std::string> kClocks{"system_clock",  "steady_clock", "high_resolution_clock",
@@ -232,19 +229,7 @@ void rule_float_accum(Linter& lint) {
 // VGR006 — threading primitives outside the pool.
 // ---------------------------------------------------------------------------
 void rule_thread_include(Linter& lint) {
-  if (path_is(lint.rel_path,
-              {"src/vgr/sim/thread_pool.cpp", "src/vgr/sim/thread_pool.hpp",
-               // The strip executor IS the intra-run parallelism layer (ROADMAP
-               // item 3): its barrier/mailbox protocol and the event queue's
-               // region-tagged slot plumbing are the reviewed exceptions.
-               "src/vgr/sim/strip_executor.cpp", "src/vgr/sim/strip_executor.hpp",
-               "src/vgr/sim/event_queue.cpp", "src/vgr/sim/event_queue.hpp",
-               // Strip-parallel shared state reviewed with the executor: the
-               // medium's relaxed frame counters, the trust store's
-               // conditional cache lock and the scenario's delivery-record
-               // lock (all inert in serial runs).
-               "src/vgr/phy/medium.hpp", "src/vgr/security/authority.hpp",
-               "src/vgr/scenario/highway.hpp"})) {
+  if (path_is(lint.rel_path, {"src/vgr/sim/thread_pool.cpp", "src/vgr/sim/thread_pool.hpp"})) {
     return;
   }
   static const std::set<std::string> kHeaders{
