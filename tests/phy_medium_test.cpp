@@ -235,13 +235,13 @@ class DeliveryOrderTest : public ::testing::Test {
     }
   }
 
-  RadioId add(char name, double x) {
+  void add(char name, double x) {
     names_.push_back(name);
     Medium::NodeConfig cfg;
     cfg.mac = net::MacAddress{static_cast<std::uint64_t>(name)};
     cfg.position = [x] { return geo::Position{x, 0.0}; };
     cfg.tx_range_m = 200.0;
-    return medium_.add_node(std::move(cfg), [this, name](const Frame& f, RadioId from) {
+    medium_.add_node(std::move(cfg), [this, name](const Frame& f, RadioId from) {
       log(std::string{name} + "<" + names_[from.value - 1] + (f.raw.empty() ? "" : "*"));
       if (const auto it = on_rx_.find(name); it != on_rx_.end()) {
         auto hook = std::move(it->second);
