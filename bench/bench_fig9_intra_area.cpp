@@ -5,9 +5,11 @@
 // covered area vs elsewhere) reported in §IV-A.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "vgr/scenario/highway.hpp"
+#include "vgr/sim/thread_pool.hpp"
 
 using namespace vgr;
 using scenario::AbResult;
@@ -88,28 +90,29 @@ int main() {
     if (fidelity.sim_seconds > 0.0) {
       base.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
     }
+    // One pool task per arm of each seed-paired run (extra runs: 28 m is
+    // rare); each task's world dies with it. Slot 2*run holds the run's
+    // attacker-free floods, 2*run+1 its attacked ones, tallied below in
+    // seed order on this thread.
+    std::vector<std::vector<scenario::IntraAreaFloodRecord>> floods(
+        static_cast<std::size_t>(fidelity.runs * 3 * 2));
+    sim::ThreadPool pool{fidelity.threads};
+    pool.parallel_for(floods.size(), [&](std::size_t slot) {
+      HighwayConfig arm = base;
+      arm.seed = slot / 2 + 1;
+      arm.attack = slot % 2 == 0 ? scenario::AttackKind::kNone : scenario::AttackKind::kIntraArea;
+      floods[slot] = scenario::HighwayScenario{arm}.run_intra_area().floods;
+    });
     double hits[2][2] = {};   // [inside?][attacked?] reached
     double totals[2][2] = {}; // [inside?][attacked?] on-road
     std::uint64_t n_in = 0, n_out = 0;
-    for (std::uint64_t run = 0; run < fidelity.runs * 3; ++run) {  // extra runs: 28 m is rare
-      HighwayConfig a = base;
-      a.seed = run + 1;
-      a.attack = scenario::AttackKind::kNone;
-      HighwayConfig b = base;
-      b.seed = run + 1;
-      b.attack = scenario::AttackKind::kIntraArea;
-      const auto ra = scenario::HighwayScenario{a}.run_intra_area();
-      const auto rb = scenario::HighwayScenario{b}.run_intra_area();
-      for (const auto& fl : ra.floods) {
+    for (std::size_t slot = 0; slot < floods.size(); ++slot) {
+      const std::size_t attacked = slot % 2;
+      for (const auto& fl : floods[slot]) {
         const int in = fl.source_fully_covered ? 1 : 0;
-        (in != 0 ? n_in : n_out) += 1;
-        hits[in][0] += static_cast<double>(fl.reached);
-        totals[in][0] += static_cast<double>(fl.total);
-      }
-      for (const auto& fl : rb.floods) {
-        const int in = fl.source_fully_covered ? 1 : 0;
-        hits[in][1] += static_cast<double>(fl.reached);
-        totals[in][1] += static_cast<double>(fl.total);
+        if (attacked == 0) (in != 0 ? n_in : n_out) += 1;
+        hits[in][attacked] += static_cast<double>(fl.reached);
+        totals[in][attacked] += static_cast<double>(fl.total);
       }
     }
     auto blockage = [&](int in) {

@@ -126,6 +126,9 @@ int main() {
                                     std::size_t{8}}) {
     scenario::Fidelity ft = f;
     ft.threads = threads;
+    // Every rung repeats the same arms: without a cleared memo all but the
+    // first would be merged from memory instead of simulated on the pool.
+    scenario::clear_arm_reuse();
     std::optional<scenario::AbResult> result;
     const double secs =
         wall_seconds([&] { result.emplace(scenario::run_inter_area_ab(ab_cfg, ft)); });

@@ -33,6 +33,8 @@ class IntraAreaBlocker final : public Sniffer {
     double targeted_range_m{-1.0};
     /// Capture-to-replay latency; must stay below CBF TO_MIN (1 ms).
     sim::Duration processing_delay{sim::Duration::micros(500)};
+
+    friend bool operator==(const Config&, const Config&) = default;
   };
 
   IntraAreaBlocker(sim::EventQueue& events, phy::Medium& medium, geo::Position position,

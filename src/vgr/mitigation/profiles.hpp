@@ -26,6 +26,8 @@ struct Parameters {
   /// Maximum acceptable RHL drop between the buffered packet and a
   /// duplicate (paper: 3).
   std::uint8_t rhl_drop_threshold{3};
+
+  friend bool operator==(const Parameters&, const Parameters&) = default;
 };
 
 /// Applies `profile` (with `params`) to `config`.

@@ -44,6 +44,8 @@ struct DccConfig {
   ///   VGR_DCC (0/1), VGR_DCC_SAMPLE_MS, VGR_DCC_WINDOW.
   /// Parsing is whole-token like every other VGR_* variable.
   [[nodiscard]] DccConfig with_env_overrides() const;
+
+  friend bool operator==(const DccConfig&, const DccConfig&) = default;
 };
 
 /// Per-node reactive DCC state machine. Pure and deterministic: it consumes

@@ -61,6 +61,8 @@ struct FaultConfig {
   ///   VGR_FAULT_GE_P_BG, VGR_FAULT_GE_LOSS_GOOD, VGR_FAULT_GE_LOSS_BAD.
   /// Fields without a corresponding variable keep this config's values.
   [[nodiscard]] FaultConfig with_env_overrides() const;
+
+  friend bool operator==(const FaultConfig&, const FaultConfig&) = default;
 };
 
 /// Counters for every fault the injector has applied.

@@ -60,6 +60,8 @@ struct MacConfig {
   ///   VGR_MAC_CW_MIN, VGR_MAC_CW_MAX, VGR_MAC_RETRY,
   ///   VGR_MAC_DCC_RETRY_SCALE, VGR_MAC_OVERHEAD_BYTES.
   [[nodiscard]] MacConfig with_env_overrides() const;
+
+  friend bool operator==(const MacConfig&, const MacConfig&) = default;
 };
 
 /// Per-cause MAC counters (all drops are mutually exclusive per frame).

@@ -8,6 +8,12 @@
 
 namespace vgr::scenario {
 
+/// Which paired experiment an A/B call runs.
+enum class Experiment : std::uint8_t { kInterArea, kIntraArea };
+
+/// Width of the reception-rate bins every A/B timeline is merged over.
+inline constexpr sim::Duration kBinWidth = sim::Duration::seconds(5.0);
+
 /// Paired A/B experiment results: the attacker-free baseline, the attacked
 /// timeline, and the paper's headline metric (gamma for inter-area
 /// interception, lambda for intra-area blockage — the average relative
@@ -80,9 +86,9 @@ struct Fidelity {
   /// 0 (the default, not env-overridable) keeps historical behaviour.
   std::uint64_t first_run{0};
   double sim_seconds{-1.0};  ///< <= 0 keeps the config's duration
-  /// Worker threads for independent runs; 0 = auto (VGR_THREADS or all
+  /// Worker threads for independent arms; 0 = auto (VGR_THREADS or all
   /// hardware threads). Results are bit-identical for every value because
-  /// runs are merged in seed order (see ab_runner.cpp).
+  /// arms are merged in seed order (see ab_runner.cpp).
   std::size_t threads{0};
   /// Per-run watchdog (see HighwayConfig): 0 disables either bound.
   double run_wall_budget_s{0.0};
@@ -92,16 +98,37 @@ struct Fidelity {
 };
 
 /// Runs `runs` paired (attacker-free, attacked) inter-area experiments with
-/// seeds 1..runs and merges the binned reception timelines. `config.attack`
-/// selects the attacker for the B-arm (kNone keeps the classic kInterArea
-/// interceptor); the A-arm always clears it.
+/// seeds first_run+1 .. first_run+runs and merges the binned reception
+/// timelines in seed order, A before B. `config.attack` selects the attacker
+/// for the B-arm (kNone keeps the classic kInterArea interceptor); the A-arm
+/// always clears it.
+///
+/// Each arm of each run is one thread-pool task. Arms are memoised per
+/// calling thread (docs/performance.md "Arm reuse"): an arm whose whole
+/// config (after the fidelity and env overrides) and seed an earlier call in
+/// the same seed window already simulated is merged from the memo instead of
+/// simulated again. The attacker-free arm is keyed with every field only an
+/// attacker reads reset to its default, so settings that differ only in the
+/// attacker share one baseline. A call with another (first_run, runs) window
+/// drops the memo first, and an arm that tripped the wall-clock budget is
+/// never stored. Results are bit-identical whether or not the memo hit.
 AbResult run_inter_area_ab(HighwayConfig config, const Fidelity& fidelity);
 
-/// Same pairing for the intra-area (CBF flood) experiment.
+/// Same pairing and memo for the intra-area (CBF flood) experiment. Here the
+/// attacker-free arm also drops the attack geometry (`attack_range_m`,
+/// `attacker_x_m`): the flood workload never reads it.
 AbResult run_intra_area_ab(HighwayConfig config, const Fidelity& fidelity);
 
-/// Single-arm helpers (used when the baseline is shared across settings).
-sim::BinnedRate run_inter_area_arm(HighwayConfig config, const Fidelity& fidelity);
-sim::BinnedRate run_intra_area_arm(HighwayConfig config, const Fidelity& fidelity);
+/// Arms the calling thread has simulated and merged from its memo since the
+/// last clear_arm_reuse().
+struct ArmReuseCounts {
+  std::uint64_t simulated{0};
+  std::uint64_t reused{0};
+};
+ArmReuseCounts arm_reuse_counts();
+
+/// Empties the calling thread's arm memo and zeroes its counts, so the next
+/// call simulates every arm.
+void clear_arm_reuse();
 
 }  // namespace vgr::scenario

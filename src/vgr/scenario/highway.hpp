@@ -46,6 +46,8 @@ struct ChurnConfig {
   /// Copy with `VGR_CHURN_RATE`, `VGR_CHURN_DOWNTIME_MS` and
   /// `VGR_CHURN_REBOOT_P` applied over the programmatic values.
   [[nodiscard]] ChurnConfig with_env_overrides() const;
+
+  friend bool operator==(const ChurnConfig&, const ChurnConfig&) = default;
 };
 
 /// Recovery-layer switches applied to every vehicle router
@@ -67,6 +69,8 @@ struct RecoveryConfig {
   /// `VGR_RETX`, `VGR_RETX_MAX`, `VGR_RETX_BACKOFF_MS` and
   /// `VGR_NBR_MONITOR` applied over the programmatic values.
   [[nodiscard]] RecoveryConfig with_env_overrides() const;
+
+  friend bool operator==(const RecoveryConfig&, const RecoveryConfig&) = default;
 };
 
 /// Full configuration of one simulation run on the paper's 4,000 m highway.
@@ -138,6 +142,11 @@ struct HighwayConfig {
   [[nodiscard]] double resolved_vehicle_range() const;
   [[nodiscard]] double resolved_attacker_x() const;
   [[nodiscard]] AttackGeometry attack_geometry() const;
+
+  /// Field-wise equality over the whole config, nested configs included: the
+  /// A/B runner keys reused arms by it (docs/performance.md "Arm reuse"), so
+  /// a field added later joins the key with no edit.
+  friend bool operator==(const HighwayConfig&, const HighwayConfig&) = default;
 };
 
 /// One vulnerable packet of the inter-area experiment.

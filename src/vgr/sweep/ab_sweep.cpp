@@ -31,10 +31,10 @@ AbResult run_point(Experiment experiment, const HighwayConfig& config,
 
 /// All-zero result with the point's bin geometry, for fully-missing points.
 AbResult empty_point(const HighwayConfig& config, const Fidelity& fidelity) {
-  const sim::Duration bin = sim::Duration::seconds(5.0);  // ab_runner's kBin
   sim::Duration horizon = config.sim_duration;
   if (fidelity.sim_seconds > 0.0) horizon = sim::Duration::seconds(fidelity.sim_seconds);
-  return AbResult{sim::BinnedRate{bin, horizon}, sim::BinnedRate{bin, horizon}};
+  return AbResult{sim::BinnedRate{scenario::kBinWidth, horizon},
+                  sim::BinnedRate{scenario::kBinWidth, horizon}};
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 namespace vgr::sweep {
 
 /// Which paired experiment a sweep point runs.
-enum class Experiment : std::uint8_t { kInterArea, kIntraArea };
+using Experiment = scenario::Experiment;
 
 /// A supervised sweep point: the merged A/B result plus how much of the
 /// point actually materialized. `missing` counts shards that produced no

@@ -1,0 +1,253 @@
+// In-process arm reuse of the A/B runner (docs/performance.md "Arm reuse"):
+// an arm served from the calling thread's memo must merge to exactly the
+// bits a fresh simulation gives, the memo must key on every field that can
+// change an arm's outcome, and it must never keep a host-dependent outcome
+// or an arm from another seed window.
+
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "vgr/scenario/ab_runner.hpp"
+
+namespace vgr::scenario {
+namespace {
+
+HighwayConfig quick_config() {
+  HighwayConfig cfg;
+  cfg.sim_duration = sim::Duration::seconds(10.0);
+  cfg.prefill_spacing_m = 90.0;
+  cfg.entry_spacing_m = 90.0;
+  return cfg;
+}
+
+Fidelity window(std::uint64_t first_run, std::uint64_t runs) {
+  Fidelity f;
+  f.first_run = first_run;
+  f.runs = runs;
+  f.threads = 2;
+  return f;
+}
+
+void expect_same_timeline(const sim::BinnedRate& a, const sim::BinnedRate& b) {
+  EXPECT_EQ(a.bin_width(), b.bin_width());
+  ASSERT_EQ(a.bin_count(), b.bin_count());
+  for (std::size_t i = 0; i < a.bin_count(); ++i) {
+    EXPECT_EQ(a.bin_hits(i), b.bin_hits(i)) << "bin " << i;
+    EXPECT_EQ(a.bin_trials(i), b.bin_trials(i)) << "bin " << i;
+  }
+}
+
+void expect_same_totals(const AbResult::ArmTotals& a, const AbResult::ArmTotals& b) {
+  EXPECT_EQ(a.mac_queue_overflow, b.mac_queue_overflow);
+  EXPECT_EQ(a.mac_retry_exhausted, b.mac_retry_exhausted);
+  EXPECT_EQ(a.mac_dcc_gated, b.mac_dcc_gated);
+  EXPECT_EQ(a.mac_backoff_retries, b.mac_backoff_retries);
+  EXPECT_EQ(a.mac_transmitted, b.mac_transmitted);
+  EXPECT_EQ(a.ingest_drops, b.ingest_drops);
+  EXPECT_EQ(a.frames_flooded, b.frames_flooded);
+  EXPECT_EQ(a.peak_cbr, b.peak_cbr);
+}
+
+/// Every AbResult field, compared exactly.
+void expect_identical(const AbResult& a, const AbResult& b) {
+  expect_same_timeline(a.baseline, b.baseline);
+  expect_same_timeline(a.attacked, b.attacked);
+  EXPECT_EQ(a.attack_rate, b.attack_rate);
+  EXPECT_EQ(a.baseline_reception, b.baseline_reception);
+  EXPECT_EQ(a.attacked_reception, b.attacked_reception);
+  expect_same_totals(a.baseline_totals, b.baseline_totals);
+  expect_same_totals(a.attacked_totals, b.attacked_totals);
+  EXPECT_EQ(a.reception_base_hits, b.reception_base_hits);
+  EXPECT_EQ(a.reception_base_trials, b.reception_base_trials);
+  EXPECT_EQ(a.reception_atk_hits, b.reception_atk_hits);
+  EXPECT_EQ(a.reception_atk_trials, b.reception_atk_trials);
+  EXPECT_EQ(a.runs, b.runs);
+  EXPECT_EQ(a.timed_out_runs, b.timed_out_runs);
+  EXPECT_EQ(a.timed_out_events, b.timed_out_events);
+  EXPECT_EQ(a.timed_out_wall, b.timed_out_wall);
+}
+
+void expect_counts(std::uint64_t simulated, std::uint64_t reused) {
+  const ArmReuseCounts c = arm_reuse_counts();
+  EXPECT_EQ(c.simulated, simulated);
+  EXPECT_EQ(c.reused, reused);
+}
+
+TEST(ArmReuse, MemoHitIsBitIdenticalToAFreshSimulation) {
+  HighwayConfig cfg = quick_config();
+  cfg.attack = AttackKind::kInterArea;
+  HighwayConfig flood = quick_config();
+  flood.attack_range_m = 500.0;
+  const Fidelity f = window(0, 3);
+
+  for (const bool inter : {true, false}) {
+    SCOPED_TRACE(inter ? "inter-area" : "intra-area");
+    const auto run = [inter, &f](const HighwayConfig& c) {
+      return inter ? run_inter_area_ab(c, f) : run_intra_area_ab(c, f);
+    };
+    const HighwayConfig& row = inter ? cfg : flood;
+    clear_arm_reuse();
+    (void)run(row);
+    const AbResult served = run(row);  // both arms from the memo
+    expect_counts(6, 6);
+    clear_arm_reuse();
+    const AbResult fresh = run(row);
+    expect_counts(6, 0);
+    expect_identical(served, fresh);
+    EXPECT_GT(fresh.baseline_reception, 0.0);
+  }
+
+  // A partial hit: the intra-area A arm comes from another attack range's
+  // row, the B arm is simulated now.
+  HighwayConfig near = flood;
+  near.attack_range_m = 327.0;
+  clear_arm_reuse();
+  (void)run_intra_area_ab(near, f);
+  const AbResult mixed = run_intra_area_ab(flood, f);
+  expect_counts(9, 3);
+  clear_arm_reuse();
+  expect_identical(mixed, run_intra_area_ab(flood, f));
+}
+
+/// The fig9_sweep settings: Fig 9 a-e plus the source-location split's
+/// 500 m DSRC row.
+std::vector<HighwayConfig> fig9_rows() {
+  std::vector<HighwayConfig> rows;
+  for (const phy::AccessTechnology tech :
+       {phy::AccessTechnology::kDsrc, phy::AccessTechnology::kCv2x}) {
+    const phy::RangeTable r = phy::range_table(tech);
+    for (const double range : {r.nlos_worst_m, r.nlos_median_m, 500.0, r.los_median_m}) {
+      HighwayConfig cfg;
+      cfg.tech = tech;
+      cfg.attack_range_m = range;
+      rows.push_back(cfg);
+    }
+  }
+  HighwayConfig mn;
+  mn.attack_range_m = phy::range_table(mn.tech).nlos_median_m;
+  for (const double ttl : {20.0, 10.0, 5.0}) {
+    HighwayConfig cfg = mn;
+    cfg.locte_ttl = sim::Duration::seconds(ttl);
+    rows.push_back(cfg);
+  }
+  for (const double spacing : {30.0, 100.0, 300.0}) {
+    HighwayConfig cfg = mn;
+    cfg.entry_spacing_m = spacing;
+    cfg.prefill_spacing_m = spacing;
+    rows.push_back(cfg);
+  }
+  for (const bool two_way : {false, true}) {
+    HighwayConfig cfg = mn;
+    cfg.two_way = two_way;
+    rows.push_back(cfg);
+  }
+  HighwayConfig split;
+  split.attack_range_m = 500.0;
+  rows.push_back(split);
+  return rows;
+}
+
+TEST(ArmReuse, Fig9SettingsAreTwentyDistinctArmsPerRun) {
+  // 17 rows x 2 arms = 34 arms per run, of which 20 are distinct: one
+  // baseline per (tech, TTL, density, directions) and the attacked arms of
+  // the TTL 20 s, 30 m, single-direction and split rows repeat 9a's.
+  const std::vector<HighwayConfig> rows = fig9_rows();
+  ASSERT_EQ(rows.size(), 17u);
+  for (const std::uint64_t runs : {1u, 4u}) {
+    SCOPED_TRACE(runs);
+    clear_arm_reuse();
+    Fidelity f = window(0, runs);
+    f.sim_seconds = 2.0;  // the count depends on the settings, not the horizon
+    for (const HighwayConfig& row : rows) (void)run_intra_area_ab(row, f);
+    expect_counts(20 * runs, 14 * runs);
+  }
+}
+
+TEST(ArmReuse, IntraAreaBaselineDropsTheAttackerButNothingElse) {
+  // Attack range, attacker position and blocker mode only shape the
+  // attacker: all four settings share one attacker-free simulation, and
+  // that shared outcome is what each setting's own attacker-free world
+  // gives when simulated directly.
+  const HighwayConfig base = quick_config();
+  std::vector<HighwayConfig> rows(4, base);
+  rows[1].attack_range_m = 500.0;
+  rows[2].attacker_x_m = 1200.0;
+  rows[3].blocker.mode = attack::IntraAreaBlocker::Mode::kTargetedReplay;
+  clear_arm_reuse();
+  std::vector<AbResult> results;
+  for (const HighwayConfig& row : rows) results.push_back(run_intra_area_ab(row, window(0, 1)));
+  expect_counts(1 + 4, 3);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE(i);
+    HighwayConfig own = rows[i];
+    own.seed = 1;
+    const IntraAreaResult direct = HighwayScenario{own}.run_intra_area();
+    expect_same_timeline(results[i].baseline, direct.binned(kBinWidth));
+    EXPECT_EQ(results[i].baseline_reception, results[0].baseline_reception);
+  }
+}
+
+TEST(ArmReuse, InterAreaBaselineKeepsTheAttackGeometry) {
+  // The flood rate only drives the congestion flooder: one baseline.
+  HighwayConfig flood = quick_config();
+  flood.attack = AttackKind::kCongestionFlood;
+  flood.flood_rate_hz = 500.0;
+  HighwayConfig faster = flood;
+  faster.flood_rate_hz = 900.0;
+  clear_arm_reuse();
+  const AbResult slow_r = run_inter_area_ab(flood, window(0, 1));
+  const AbResult fast_r = run_inter_area_ab(faster, window(0, 1));
+  expect_counts(3, 1);
+  expect_same_timeline(slow_r.baseline, fast_r.baseline);
+
+  // The attack range defines which packets are vulnerable, i.e. the
+  // workload itself: two ranges, two baselines.
+  HighwayConfig near = quick_config();
+  HighwayConfig far = near;
+  far.attack_range_m = 500.0;
+  clear_arm_reuse();
+  (void)run_inter_area_ab(near, window(0, 1));
+  (void)run_inter_area_ab(far, window(0, 1));
+  expect_counts(4, 0);
+}
+
+TEST(ArmReuse, WallClockTripsAreSimulatedAgainEventTripsAreReused) {
+  HighwayConfig cfg = quick_config();
+  cfg.attack = AttackKind::kInterArea;
+
+  Fidelity wall = window(0, 2);
+  wall.run_wall_budget_s = 1e-9;  // trips at the first check
+  clear_arm_reuse();
+  const AbResult first = run_inter_area_ab(cfg, wall);
+  EXPECT_EQ(first.timed_out_wall, 4u);
+  (void)run_inter_area_ab(cfg, wall);
+  expect_counts(8, 0);
+
+  Fidelity events = window(0, 2);
+  events.run_max_events = 50;
+  clear_arm_reuse();
+  const AbResult tripped = run_inter_area_ab(cfg, events);
+  EXPECT_EQ(tripped.timed_out_events, 4u);
+  expect_identical(tripped, run_inter_area_ab(cfg, events));
+  expect_counts(4, 4);
+}
+
+TEST(ArmReuse, AnotherSeedWindowEvictsTheMemo) {
+  HighwayConfig cfg = quick_config();
+  cfg.attack = AttackKind::kIntraArea;
+  clear_arm_reuse();
+  const AbResult first = run_intra_area_ab(cfg, window(0, 2));
+  (void)run_intra_area_ab(cfg, window(0, 2));
+  expect_counts(4, 4);
+  (void)run_intra_area_ab(cfg, window(2, 2));  // new window: memo dropped
+  expect_counts(8, 4);
+  const AbResult again = run_intra_area_ab(cfg, window(0, 2));
+  expect_counts(12, 4);
+  expect_identical(first, again);
+  (void)run_intra_area_ab(cfg, window(0, 3));  // same first_run, more runs
+  expect_counts(18, 4);
+}
+
+}  // namespace
+}  // namespace vgr::scenario

@@ -31,6 +31,15 @@ Fidelity with_threads(std::size_t threads) {
   return f;
 }
 
+// The arm memo would serve a repeated call from the first call's arms, so
+// the second call of each comparison runs after clear_arm_reuse() and must
+// simulate every arm on the pool.
+void expect_every_arm_simulated(const Fidelity& f) {
+  const ArmReuseCounts counts = arm_reuse_counts();
+  EXPECT_EQ(counts.simulated, 2 * f.runs);
+  EXPECT_EQ(counts.reused, 0u);
+}
+
 void expect_bit_identical(const AbResult& serial, const AbResult& parallel) {
   // Exact equality on purpose: merging in seed order preserves the
   // floating-point accumulation order, so these are the same bits.
@@ -49,7 +58,9 @@ void expect_bit_identical(const AbResult& serial, const AbResult& parallel) {
 TEST(ParallelHarness, InterAreaSerialAndParallelAreBitIdentical) {
   const HighwayConfig cfg = quick_config(AttackKind::kInterArea);
   const AbResult serial = run_inter_area_ab(cfg, with_threads(1));
+  clear_arm_reuse();
   const AbResult parallel = run_inter_area_ab(cfg, with_threads(4));
+  expect_every_arm_simulated(with_threads(4));
   expect_bit_identical(serial, parallel);
   // Sanity: the attack actually bites, so we are not comparing zeros.
   EXPECT_GT(serial.baseline_reception, 0.0);
@@ -58,20 +69,11 @@ TEST(ParallelHarness, InterAreaSerialAndParallelAreBitIdentical) {
 TEST(ParallelHarness, IntraAreaSerialAndParallelAreBitIdentical) {
   const HighwayConfig cfg = quick_config(AttackKind::kIntraArea);
   const AbResult serial = run_intra_area_ab(cfg, with_threads(1));
+  clear_arm_reuse();
   const AbResult parallel = run_intra_area_ab(cfg, with_threads(4));
+  expect_every_arm_simulated(with_threads(4));
   expect_bit_identical(serial, parallel);
   EXPECT_GT(serial.baseline_reception, 0.0);
-}
-
-TEST(ParallelHarness, SingleArmHelpersAreBitIdentical) {
-  HighwayConfig cfg = quick_config(AttackKind::kInterArea);
-  const sim::BinnedRate serial = run_inter_area_arm(cfg, with_threads(1));
-  const sim::BinnedRate parallel = run_inter_area_arm(cfg, with_threads(4));
-  ASSERT_EQ(serial.bin_count(), parallel.bin_count());
-  for (std::size_t i = 0; i < serial.bin_count(); ++i) {
-    EXPECT_EQ(serial.rate(i), parallel.rate(i)) << "bin " << i;
-  }
-  EXPECT_EQ(serial.overall(), parallel.overall());
 }
 
 TEST(ParallelHarness, MacDccCongestionArmIsBitIdentical) {
@@ -90,7 +92,9 @@ TEST(ParallelHarness, MacDccCongestionArmIsBitIdentical) {
   Fidelity f4 = with_threads(4);
   f1.runs = f4.runs = 2;
   const AbResult serial = run_inter_area_ab(cfg, f1);
+  clear_arm_reuse();
   const AbResult parallel = run_inter_area_ab(cfg, f4);
+  expect_every_arm_simulated(f4);
   expect_bit_identical(serial, parallel);
 
   EXPECT_EQ(serial.attacked_totals.mac_transmitted, parallel.attacked_totals.mac_transmitted);

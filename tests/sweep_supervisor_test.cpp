@@ -314,10 +314,15 @@ TEST(AbSweep, SupervisedSingleChunkMatchesDirectRunExactly) {
   const Fidelity f = small_fidelity();
   const AbResult direct = scenario::run_inter_area_ab(cfg, f);
 
+  // The single shard covers the direct call's seed window, so without a
+  // cleared arm memo it would be served from the direct call's arms.
+  scenario::clear_arm_reuse();
   Supervisor sup{test_config(journal)};
   ASSERT_TRUE(sup.ok());
   const SupervisedAb supervised =
       run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
+  EXPECT_EQ(scenario::arm_reuse_counts().simulated, 2 * f.runs);
+  EXPECT_EQ(scenario::arm_reuse_counts().reused, 0u);
   EXPECT_TRUE(supervised.complete());
   EXPECT_EQ(supervised.shards, 1u);
   EXPECT_TRUE(ab_equal(direct, supervised.result));
