@@ -58,6 +58,9 @@ class BinnedRate {
   /// interception rate gamma and blockage rate lambda.
   static double average_drop(const BinnedRate& baseline, const BinnedRate& attacked);
 
+  /// Same bin width and the same raw accumulators in every bin, exactly.
+  friend bool operator==(const BinnedRate&, const BinnedRate&) = default;
+
  private:
   Duration bin_width_;
   std::vector<double> hits_;

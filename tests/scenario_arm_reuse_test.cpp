@@ -29,45 +29,6 @@ Fidelity window(std::uint64_t first_run, std::uint64_t runs) {
   return f;
 }
 
-void expect_same_timeline(const sim::BinnedRate& a, const sim::BinnedRate& b) {
-  EXPECT_EQ(a.bin_width(), b.bin_width());
-  ASSERT_EQ(a.bin_count(), b.bin_count());
-  for (std::size_t i = 0; i < a.bin_count(); ++i) {
-    EXPECT_EQ(a.bin_hits(i), b.bin_hits(i)) << "bin " << i;
-    EXPECT_EQ(a.bin_trials(i), b.bin_trials(i)) << "bin " << i;
-  }
-}
-
-void expect_same_totals(const AbResult::ArmTotals& a, const AbResult::ArmTotals& b) {
-  EXPECT_EQ(a.mac_queue_overflow, b.mac_queue_overflow);
-  EXPECT_EQ(a.mac_retry_exhausted, b.mac_retry_exhausted);
-  EXPECT_EQ(a.mac_dcc_gated, b.mac_dcc_gated);
-  EXPECT_EQ(a.mac_backoff_retries, b.mac_backoff_retries);
-  EXPECT_EQ(a.mac_transmitted, b.mac_transmitted);
-  EXPECT_EQ(a.ingest_drops, b.ingest_drops);
-  EXPECT_EQ(a.frames_flooded, b.frames_flooded);
-  EXPECT_EQ(a.peak_cbr, b.peak_cbr);
-}
-
-/// Every AbResult field, compared exactly.
-void expect_identical(const AbResult& a, const AbResult& b) {
-  expect_same_timeline(a.baseline, b.baseline);
-  expect_same_timeline(a.attacked, b.attacked);
-  EXPECT_EQ(a.attack_rate, b.attack_rate);
-  EXPECT_EQ(a.baseline_reception, b.baseline_reception);
-  EXPECT_EQ(a.attacked_reception, b.attacked_reception);
-  expect_same_totals(a.baseline_totals, b.baseline_totals);
-  expect_same_totals(a.attacked_totals, b.attacked_totals);
-  EXPECT_EQ(a.reception_base_hits, b.reception_base_hits);
-  EXPECT_EQ(a.reception_base_trials, b.reception_base_trials);
-  EXPECT_EQ(a.reception_atk_hits, b.reception_atk_hits);
-  EXPECT_EQ(a.reception_atk_trials, b.reception_atk_trials);
-  EXPECT_EQ(a.runs, b.runs);
-  EXPECT_EQ(a.timed_out_runs, b.timed_out_runs);
-  EXPECT_EQ(a.timed_out_events, b.timed_out_events);
-  EXPECT_EQ(a.timed_out_wall, b.timed_out_wall);
-}
-
 void expect_counts(std::uint64_t simulated, std::uint64_t reused) {
   const ArmReuseCounts c = arm_reuse_counts();
   EXPECT_EQ(c.simulated, simulated);
@@ -94,7 +55,7 @@ TEST(ArmReuse, MemoHitIsBitIdenticalToAFreshSimulation) {
     clear_arm_reuse();
     const AbResult fresh = run(row);
     expect_counts(6, 0);
-    expect_identical(served, fresh);
+    EXPECT_EQ(served, fresh);
     EXPECT_GT(fresh.baseline_reception, 0.0);
   }
 
@@ -107,7 +68,7 @@ TEST(ArmReuse, MemoHitIsBitIdenticalToAFreshSimulation) {
   const AbResult mixed = run_intra_area_ab(flood, f);
   expect_counts(9, 3);
   clear_arm_reuse();
-  expect_identical(mixed, run_intra_area_ab(flood, f));
+  EXPECT_EQ(mixed, run_intra_area_ab(flood, f));
 }
 
 /// The fig9_sweep settings: Fig 9 a-e plus the source-location split's
@@ -183,7 +144,7 @@ TEST(ArmReuse, IntraAreaBaselineDropsTheAttackerButNothingElse) {
     HighwayConfig own = rows[i];
     own.seed = 1;
     const IntraAreaResult direct = HighwayScenario{own}.run_intra_area();
-    expect_same_timeline(results[i].baseline, direct.binned(kBinWidth));
+    EXPECT_EQ(results[i].baseline, direct.binned(kBinWidth));
     EXPECT_EQ(results[i].baseline_reception, results[0].baseline_reception);
   }
 }
@@ -199,7 +160,7 @@ TEST(ArmReuse, InterAreaBaselineKeepsTheAttackGeometry) {
   const AbResult slow_r = run_inter_area_ab(flood, window(0, 1));
   const AbResult fast_r = run_inter_area_ab(faster, window(0, 1));
   expect_counts(3, 1);
-  expect_same_timeline(slow_r.baseline, fast_r.baseline);
+  EXPECT_EQ(slow_r.baseline, fast_r.baseline);
 
   // The attack range defines which packets are vulnerable, i.e. the
   // workload itself: two ranges, two baselines.
@@ -229,7 +190,7 @@ TEST(ArmReuse, WallClockTripsAreSimulatedAgainEventTripsAreReused) {
   clear_arm_reuse();
   const AbResult tripped = run_inter_area_ab(cfg, events);
   EXPECT_EQ(tripped.timed_out_events, 4u);
-  expect_identical(tripped, run_inter_area_ab(cfg, events));
+  EXPECT_EQ(tripped, run_inter_area_ab(cfg, events));
   expect_counts(4, 4);
 }
 
@@ -244,7 +205,7 @@ TEST(ArmReuse, AnotherSeedWindowEvictsTheMemo) {
   expect_counts(8, 4);
   const AbResult again = run_intra_area_ab(cfg, window(0, 2));
   expect_counts(12, 4);
-  expect_identical(first, again);
+  EXPECT_EQ(first, again);
   (void)run_intra_area_ab(cfg, window(0, 3));  // same first_run, more runs
   expect_counts(18, 4);
 }

@@ -4,9 +4,11 @@
 // uninterrupted run of the same study (everything before the `"supervisor"`
 // health block, which legitimately differs). Covered at VGR_THREADS=1 and 4
 // because the determinism contract must hold under run-level parallelism.
+// The uninterrupted artifact must also match tests/golden/sweep.json up to
+// the same key, which pins the journaled counters and the shard merge.
 //
-// The binary path is injected at configure time (VGR_SWEEP_BIN, see
-// tests/CMakeLists.txt).
+// The binary and golden paths are injected at configure time (VGR_SWEEP_BIN
+// and VGR_SWEEP_GOLDEN, see tests/CMakeLists.txt).
 
 #include <gtest/gtest.h>
 
@@ -53,9 +55,21 @@ std::string result_prefix(const std::string& json) {
   return json.substr(0, pos);
 }
 
-/// Forks and execs vgr_sweep <mode> on a tiny loss-only study. `threads`
-/// becomes VGR_THREADS; `fault_after` (>= 0) arms the SIGKILL fault hook.
-/// Returns the raw waitpid status.
+/// Unsets every VGR_* variable, so no knob in the caller's environment can
+/// change the study (as tests/golden/check_golden.cmake does).
+void clear_vgr_env() {
+  std::vector<std::string> names;
+  for (char** e = environ; *e != nullptr; ++e) {
+    const std::string entry{*e};
+    if (entry.rfind("VGR_", 0) == 0) names.push_back(entry.substr(0, entry.find('=')));
+  }
+  for (const std::string& name : names) ::unsetenv(name.c_str());
+}
+
+/// Forks and execs vgr_sweep <mode> on a tiny study: two loss points and one
+/// MAC/DCC congestion point, so the MAC, CBR and flood counters are non-zero.
+/// `threads` becomes VGR_THREADS; `fault_after` (>= 0) arms the SIGKILL
+/// fault hook. Returns the raw waitpid status.
 int run_sweep(const char* mode, const SweepFiles& files, int threads, int fault_after) {
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -65,6 +79,7 @@ int run_sweep(const char* mode, const SweepFiles& files, int threads, int fault_
   if (pid == 0) {
     // Child: tiny but non-trivial fidelity — 2 runs x 2 simulated seconds,
     // one seed per shard so the kill lands between journal appends.
+    clear_vgr_env();
     ::setenv("VGR_RUNS", "2", 1);
     ::setenv("VGR_SIM_SECONDS", "2", 1);
     ::setenv("VGR_THREADS", std::to_string(threads).c_str(), 1);
@@ -72,10 +87,7 @@ int run_sweep(const char* mode, const SweepFiles& files, int threads, int fault_
     ::setenv("VGR_SWEEP_BACKOFF_MS", "0", 1);
     if (fault_after >= 0) {
       ::setenv("VGR_SWEEP_FAULT_AFTER", std::to_string(fault_after).c_str(), 1);
-    } else {
-      ::unsetenv("VGR_SWEEP_FAULT_AFTER");
     }
-    ::unsetenv("VGR_BENCH_JSON");
     // The bench narrates progress on stdout; keep the test log readable.
     std::freopen("/dev/null", "w", stdout);
     const char* const argv[] = {"vgr_sweep", mode,
@@ -83,7 +95,7 @@ int run_sweep(const char* mode, const SweepFiles& files, int threads, int fault_
                                 "--out", files.out.c_str(),
                                 "--loss", "0,0.4",
                                 "--churn", "none",
-                                "--flood", "none",
+                                "--flood", "4500",
                                 nullptr};
     ::execv(VGR_SWEEP_BIN, const_cast<char* const*>(argv));
     std::_Exit(127);  // exec failed
@@ -109,9 +121,10 @@ std::string kill_resume_cycle(int threads) {
       << "golden run failed, status " << status;
   const std::string golden_json = slurp(golden.out);
 
-  // Same study, SIGKILL'd after 5 journaled shards. The study has 12
-  // shards (2 loss points x 3 arms x 2 seed chunks), so the kill lands
-  // mid-sweep with real work both behind and ahead of it.
+  // Same study, SIGKILL'd after 5 journaled shards. The study has 16
+  // shards (2 loss points x 3 arms x 2 seed chunks, plus 1 flood point x
+  // 2 DCC arms x 2 seed chunks), so the kill lands mid-sweep with real work
+  // both behind and ahead of it.
   status = run_sweep("run", crashed, threads, /*fault_after=*/5);
   EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
       << "fault hook did not SIGKILL, status " << status;
@@ -137,6 +150,10 @@ TEST(SweepKillResume, ResumedSweepMatchesUninterruptedRun) {
   // The determinism contract also holds across thread counts: the full
   // artifacts (supervisor block included — nothing was killed) agree.
   EXPECT_EQ(serial, parallel);
+  // And the results match the recorded study (docs/testing.md says how to
+  // regenerate it after an intended change).
+  EXPECT_EQ(result_prefix(serial), result_prefix(slurp(VGR_SWEEP_GOLDEN)))
+      << "sweep results differ from " << VGR_SWEEP_GOLDEN;
 }
 
 }  // namespace
