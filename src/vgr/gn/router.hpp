@@ -81,13 +81,12 @@ struct RouterStats {
   std::uint64_t retx_exhausted{0};        ///< forwards that ran out of hops and attempts
   std::uint64_t retx_duplicate_reacks{0}; ///< same-hop retransmits re-ACKed, not dropped
   std::uint64_t neighbor_evictions{0};    ///< monitor-evicted location-table entries
-  // --- MAC-plane drop mirrors (docs/robustness.md): snapshots of the
-  //     contention layer's per-cause counters, refreshed on every stats()
-  //     read. All zero unless RouterConfig::mac.enabled; the full counter
-  //     set (retries, CBR samples, queue depth) lives in Router::mac().
-  std::uint64_t mac_queue_overflow_drops{0};
-  std::uint64_t mac_retry_exhausted_drops{0};
-  std::uint64_t mac_dcc_gated_drops{0};
+
+  /// Hardened-ingest drops summed over the five causes above.
+  [[nodiscard]] std::uint64_t ingest_drops() const {
+    return ingest_decode_failures + ingest_invalid_pv + ingest_invalid_rhl +
+           ingest_invalid_lifetime + ingest_oversized_payload;
+  }
 };
 
 /// A complete GeoNetworking router for one station, per ETSI EN 302
@@ -209,17 +208,10 @@ class Router {
 
   [[nodiscard]] net::GnAddress address() const { return address_; }
   [[nodiscard]] net::MacAddress mac() const { return address_.mac(); }
-  [[nodiscard]] const RouterStats& stats() const {
-    if (mac_layer_ != nullptr) {
-      const phy::MacStats& m = mac_layer_->stats();
-      stats_.mac_queue_overflow_drops = m.queue_overflow_drops;
-      stats_.mac_retry_exhausted_drops = m.retry_exhausted_drops;
-      stats_.mac_dcc_gated_drops = m.dcc_gated_drops;
-    }
-    return stats_;
-  }
+  [[nodiscard]] const RouterStats& stats() const { return stats_; }
   /// The CSMA/CA contention layer, or nullptr when RouterConfig::mac is
-  /// disabled (transmissions then hand off to the medium directly).
+  /// disabled (transmissions then hand off to the medium directly). Its
+  /// stats() hold the MAC-plane counters.
   [[nodiscard]] const phy::Mac* mac_layer() const { return mac_layer_.get(); }
   [[nodiscard]] const LocationTable& location_table() const { return loc_table_; }
   [[nodiscard]] LocationTable& location_table() { return loc_table_; }
@@ -337,8 +329,7 @@ class Router {
   LocationTable loc_table_;
   net::DuplicateDetector duplicates_;
   CbfBuffer cbf_;
-  /// Mutable only for the MAC-mirror refresh in stats().
-  mutable RouterStats stats_;
+  RouterStats stats_;
   DeliveryHandler delivery_;
   std::vector<DeliveryHandler> listeners_;
   std::function<void()> on_address_conflict_;

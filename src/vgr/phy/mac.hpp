@@ -74,16 +74,7 @@ struct MacStats {
   std::uint64_t backoff_retries{0};      ///< backoffs that landed on a busy channel
   std::uint64_t cbr_samples{0};
 
-  /// Accumulates `other` into this (scenario-level aggregation).
-  void add(const MacStats& other) {
-    enqueued += other.enqueued;
-    transmitted += other.transmitted;
-    queue_overflow_drops += other.queue_overflow_drops;
-    retry_exhausted_drops += other.retry_exhausted_drops;
-    dcc_gated_drops += other.dcc_gated_drops;
-    backoff_retries += other.backoff_retries;
-    cbr_samples += other.cbr_samples;
-  }
+  friend bool operator==(const MacStats&, const MacStats&) = default;
 };
 
 /// CSMA/CA channel access with a bounded transmit queue and reactive DCC,

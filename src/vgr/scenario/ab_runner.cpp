@@ -1,6 +1,5 @@
 #include "vgr/scenario/ab_runner.hpp"
 
-#include <algorithm>
 #include <array>
 #include <optional>
 #include <type_traits>
@@ -13,30 +12,12 @@
 namespace vgr::scenario {
 namespace {
 
-void apply_fidelity(HighwayConfig& config, const Fidelity& fidelity) {
-  if (fidelity.sim_seconds > 0.0) {
-    config.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
-  }
-  // Resilience knobs (VGR_FAULT_*, VGR_CHURN_*, VGR_SCF*, VGR_RETX*,
-  // VGR_NBR_MONITOR) apply to every run of every experiment binary, so any
-  // existing sweep can be re-run under channel faults, node churn, or with
-  // the recovery layer enabled without a rebuild. Absent variables leave the
-  // programmatic config untouched and the runs bit-identical.
-  config.faults = config.faults.with_env_overrides();
-  config.churn = config.churn.with_env_overrides();
-  config.recovery = config.recovery.with_env_overrides();
-  config.mac = config.mac.with_env_overrides();
-  config.dcc = config.dcc.with_env_overrides();
-  config.run_wall_budget_s = fidelity.run_wall_budget_s;
-  config.run_max_events = fidelity.run_max_events;
-}
-
 /// What the A/B merge reads from one arm of one run. It is reduced inside
 /// the arm's task, so the world and its per-packet records die there, and it
 /// is what the memo stores.
 struct ArmOutcome {
   sim::BinnedRate binned;
-  AbResult::ArmTotals totals;
+  RunCounters counters;
   bool timed_out{false};
   sim::BudgetTrip timed_out_cause{sim::BudgetTrip::kNone};
   /// Inter-area only: overall_reception() * packets and packets, the
@@ -47,16 +28,7 @@ struct ArmOutcome {
 
 template <typename Result>
 ArmOutcome reduce(const Result& r) {
-  ArmOutcome o{r.binned(kBinWidth),
-               {.mac_queue_overflow = r.mac.queue_overflow_drops,
-                .mac_retry_exhausted = r.mac.retry_exhausted_drops,
-                .mac_dcc_gated = r.mac.dcc_gated_drops,
-                .mac_backoff_retries = r.mac.backoff_retries,
-                .mac_transmitted = r.mac.transmitted,
-                .ingest_drops = r.ingest_drops,
-                .frames_flooded = r.frames_flooded,
-                .peak_cbr = r.peak_cbr},
-               r.timed_out,
+  ArmOutcome o{r.binned(kBinWidth), static_cast<const RunCounters&>(r), r.timed_out,
                r.timed_out_cause};
   if constexpr (std::is_same_v<Result, InterAreaResult>) {
     o.reception_hits = r.overall_reception() * static_cast<double>(r.packets.size());
@@ -76,15 +48,22 @@ ArmOutcome simulate(const HighwayConfig& config) {
   }
 }
 
-void accumulate(AbResult::ArmTotals& sum, const AbResult::ArmTotals& run) {
-  sum.mac_queue_overflow += run.mac_queue_overflow;
-  sum.mac_retry_exhausted += run.mac_retry_exhausted;
-  sum.mac_dcc_gated += run.mac_dcc_gated;
-  sum.mac_backoff_retries += run.mac_backoff_retries;
-  sum.mac_transmitted += run.mac_transmitted;
-  sum.ingest_drops += run.ingest_drops;
-  sum.frames_flooded += run.frames_flooded;
-  sum.peak_cbr = std::max(sum.peak_cbr, run.peak_cbr);
+/// One seed's A/B pair as a one-run result, ready for AbResult::merge.
+AbResult pair_result(const ArmOutcome& base, const ArmOutcome& atk) {
+  AbResult r{base.binned, atk.binned};
+  r.baseline_totals = base.counters;
+  r.attacked_totals = atk.counters;
+  r.reception_base_hits = base.reception_hits;
+  r.reception_base_trials = base.reception_trials;
+  r.reception_atk_hits = atk.reception_hits;
+  r.reception_atk_trials = atk.reception_trials;
+  r.runs = 1;
+  r.timed_out_runs = base.timed_out || atk.timed_out ? 1 : 0;
+  for (const sim::BudgetTrip cause : {base.timed_out_cause, atk.timed_out_cause}) {
+    if (cause == sim::BudgetTrip::kEvents) ++r.timed_out_events;
+    if (cause == sim::BudgetTrip::kWall) ++r.timed_out_wall;
+  }
+  return r;
 }
 
 /// The unseeded config of one arm, which is also its memo key. The attacked
@@ -192,34 +171,8 @@ AbResult run_ab(HighwayConfig config, const Fidelity& fidelity) {
 
   AbResult out{sim::BinnedRate{kBinWidth, config.sim_duration},
                sim::BinnedRate{kBinWidth, config.sim_duration}};
-  out.runs = fidelity.runs;
   for (std::size_t run = 0; run < runs; ++run) {
-    const ArmOutcome& base = outcome(2 * run);
-    const ArmOutcome& atk = outcome(2 * run + 1);
-    out.baseline.merge(base.binned);
-    out.attacked.merge(atk.binned);
-    accumulate(out.baseline_totals, base.totals);
-    accumulate(out.attacked_totals, atk.totals);
-    if (base.timed_out || atk.timed_out) ++out.timed_out_runs;
-    for (const sim::BudgetTrip cause : {base.timed_out_cause, atk.timed_out_cause}) {
-      if (cause == sim::BudgetTrip::kEvents) ++out.timed_out_events;
-      if (cause == sim::BudgetTrip::kWall) ++out.timed_out_wall;
-    }
-    out.reception_base_hits += base.reception_hits;
-    out.reception_base_trials += base.reception_trials;
-    out.reception_atk_hits += atk.reception_hits;
-    out.reception_atk_trials += atk.reception_trials;
-  }
-  out.attack_rate = sim::BinnedRate::average_drop(out.baseline, out.attacked);
-  if constexpr (kExperiment == Experiment::kInterArea) {
-    out.baseline_reception = out.reception_base_trials > 0.0
-                                 ? out.reception_base_hits / out.reception_base_trials
-                                 : 0.0;
-    out.attacked_reception =
-        out.reception_atk_trials > 0.0 ? out.reception_atk_hits / out.reception_atk_trials : 0.0;
-  } else {
-    out.baseline_reception = out.baseline.overall();
-    out.attacked_reception = out.attacked.overall();
+    out.merge(pair_result(outcome(2 * run), outcome(2 * run + 1)));
   }
 
   // A wall-clock trip depends on the host, so it is never stored: the sweep
@@ -232,7 +185,50 @@ AbResult run_ab(HighwayConfig config, const Fidelity& fidelity) {
   return out;
 }
 
+double ratio(double hits, double trials) { return trials > 0.0 ? hits / trials : 0.0; }
+
 }  // namespace
+
+void AbResult::merge(const AbResult& later) {
+  baseline.merge(later.baseline);
+  attacked.merge(later.attacked);
+  baseline_totals.merge(later.baseline_totals);
+  attacked_totals.merge(later.attacked_totals);
+  reception_base_hits += later.reception_base_hits;
+  reception_base_trials += later.reception_base_trials;
+  reception_atk_hits += later.reception_atk_hits;
+  reception_atk_trials += later.reception_atk_trials;
+  runs += later.runs;
+  timed_out_runs += later.timed_out_runs;
+  timed_out_events += later.timed_out_events;
+  timed_out_wall += later.timed_out_wall;
+
+  attack_rate = sim::BinnedRate::average_drop(baseline, attacked);
+  if (reception_base_trials > 0.0 || reception_atk_trials > 0.0) {
+    // Inter-area: packet-weighted averages over the runs.
+    baseline_reception = ratio(reception_base_hits, reception_base_trials);
+    attacked_reception = ratio(reception_atk_hits, reception_atk_trials);
+  } else {
+    // Intra-area (or no packet at all): overall rate of the merged bins.
+    baseline_reception = baseline.overall();
+    attacked_reception = attacked.overall();
+  }
+}
+
+void apply_fidelity(HighwayConfig& config, const Fidelity& fidelity) {
+  if (fidelity.sim_seconds > 0.0) {
+    config.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
+  }
+  // Absent variables leave the programmatic config untouched and the runs
+  // bit-identical.
+  config.faults = config.faults.with_env_overrides();
+  config.churn = config.churn.with_env_overrides();
+  config.recovery = config.recovery.with_env_overrides();
+  config.mac = config.mac.with_env_overrides();
+  config.dcc = config.dcc.with_env_overrides();
+  config.run_wall_budget_s = fidelity.run_wall_budget_s;
+  config.run_max_events = fidelity.run_max_events;
+}
 
 Fidelity Fidelity::from_env(std::uint64_t default_runs) {
   Fidelity f;

@@ -110,29 +110,6 @@ sim::BinnedRate IntraAreaResult::binned(sim::Duration bin) const {
   return rate;
 }
 
-std::pair<double, double> IntraAreaResult::reception_by_source_location() const {
-  double in_hits = 0.0, in_total = 0.0, out_hits = 0.0, out_total = 0.0;
-  for (const auto& f : floods) {
-    if (f.source_fully_covered) {
-      in_hits += static_cast<double>(f.reached);
-      in_total += static_cast<double>(f.total);
-    } else {
-      out_hits += static_cast<double>(f.reached);
-      out_total += static_cast<double>(f.total);
-    }
-  }
-  return {in_total > 0.0 ? in_hits / in_total : 0.0,
-          out_total > 0.0 ? out_hits / out_total : 0.0};
-}
-
-sim::Histogram IntraAreaResult::completion_latency() const {
-  sim::Histogram h;
-  for (const auto& f : floods) {
-    if (f.reached > 1) h.add((f.last_reach_at - f.sent_at).to_seconds());
-  }
-  return h;
-}
-
 HighwayScenario::HighwayScenario(HighwayConfig config)
     : config_{config},
       vehicle_range_m_{config.resolved_vehicle_range()},
@@ -268,13 +245,27 @@ void HighwayScenario::spawn_station(traffic::Vehicle& v) {
 }
 
 void HighwayScenario::harvest_station_stats(const gn::Router& router) {
-  const gn::RouterStats& s = router.stats();
-  ingest_drop_totals_ += s.ingest_decode_failures + s.ingest_invalid_pv + s.ingest_invalid_rhl +
-                         s.ingest_invalid_lifetime + s.ingest_oversized_payload;
+  RunCounters station{.ingest_drops = router.stats().ingest_drops()};
   if (const phy::Mac* mac = router.mac_layer()) {
-    mac_totals_.add(mac->stats());
-    peak_cbr_ = std::max(peak_cbr_, mac->dcc().peak_cbr());
+    station.mac = mac->stats();
+    station.peak_cbr = mac->dcc().peak_cbr();
   }
+  counters_.merge(station);
+}
+
+void HighwayScenario::finish_counters(RunCounters& result) {
+  // Exited and crashed stations were harvested at teardown. Sums and maxima
+  // are order-independent, so the map walk cannot leak iteration order.
+  // vgr-lint: begin ordered-ok (integer sums and max are order-independent)
+  for (const auto& [vid, st] : stations_) {
+    if (st.router) harvest_station_stats(*st.router);
+  }
+  // vgr-lint: end
+  for (const Station* destination : {&east_destination_, &west_destination_}) {
+    if (destination->router) harvest_station_stats(*destination->router);
+  }
+  if (flooder_) counters_.frames_flooded = flooder_->frames_flooded();
+  result = counters_;
 }
 
 void HighwayScenario::destroy_station(traffic::Vehicle& v) {
@@ -445,27 +436,13 @@ InterAreaResult HighwayScenario::run_inter_area() {
   events_.set_run_budget(config_.run_max_events, config_.run_wall_budget_s);
   events_.run_until(sim::TimePoint::at(config_.sim_duration));
 
-  // Sweep the survivors into the MAC/ingest totals (exited and crashed
-  // stations were harvested at teardown). Sums and maxima are
-  // order-independent, so the map walk cannot leak iteration order.
-  // vgr-lint: begin ordered-ok (integer sums and max are order-independent)
-  for (const auto& [vid, st] : stations_) {
-    if (st.router) harvest_station_stats(*st.router);
-  }
-  // vgr-lint: end
-  if (east_destination_.router) harvest_station_stats(*east_destination_.router);
-  if (west_destination_.router) harvest_station_stats(*west_destination_.router);
-
   InterAreaResult result;
+  finish_counters(result);
   result.packets = std::move(inter_records_);
   result.horizon = config_.sim_duration;
   if (interceptor_) result.beacons_replayed = interceptor_->beacons_replayed();
   result.churn_crashes = churn_crashes_;
   result.churn_reboots = churn_reboots_;
-  result.mac = mac_totals_;
-  result.peak_cbr = peak_cbr_;
-  result.ingest_drops = ingest_drop_totals_;
-  if (flooder_) result.frames_flooded = flooder_->frames_flooded();
   result.timed_out = events_.budget_exceeded();
   result.timed_out_cause = events_.budget_trip();
   return result;
@@ -545,22 +522,13 @@ IntraAreaResult HighwayScenario::run_intra_area() {
   events_.set_run_budget(config_.run_max_events, config_.run_wall_budget_s);
   events_.run_until(sim::TimePoint::at(config_.sim_duration));
 
-  // vgr-lint: begin ordered-ok (integer sums and max are order-independent)
-  for (const auto& [vid, st] : stations_) {
-    if (st.router) harvest_station_stats(*st.router);
-  }
-  // vgr-lint: end
-
   IntraAreaResult result;
+  finish_counters(result);
   result.floods = std::move(flood_records_);
   result.horizon = config_.sim_duration;
   if (blocker_) result.packets_replayed = blocker_->packets_replayed();
   result.churn_crashes = churn_crashes_;
   result.churn_reboots = churn_reboots_;
-  result.mac = mac_totals_;
-  result.peak_cbr = peak_cbr_;
-  result.ingest_drops = ingest_drop_totals_;
-  if (flooder_) result.frames_flooded = flooder_->frames_flooded();
   result.timed_out = events_.budget_exceeded();
   result.timed_out_cause = events_.budget_trip();
   return result;

@@ -10,6 +10,7 @@
 #include "vgr/attack/intra_area.hpp"
 #include "vgr/mitigation/profiles.hpp"
 #include "vgr/phy/medium.hpp"
+#include "vgr/scenario/run_counters.hpp"
 #include "vgr/scenario/station.hpp"
 #include "vgr/scenario/vulnerability.hpp"
 #include "vgr/security/authority.hpp"
@@ -158,23 +159,13 @@ struct InterAreaPacketRecord {
   sim::TimePoint received_at{};  ///< valid when `received`
 };
 
-struct InterAreaResult {
+/// The inter-area run's packets plus its counters (the RunCounters base).
+struct InterAreaResult : RunCounters {
   std::vector<InterAreaPacketRecord> packets;
   sim::Duration horizon{};
   std::uint64_t beacons_replayed{0};
-  std::uint64_t auth_failures{0};
   std::uint64_t churn_crashes{0};
   std::uint64_t churn_reboots{0};
-  /// MAC-plane counters aggregated over every honest station of the run
-  /// (vehicles incl. crashed ones, destinations). All zero with the MAC
-  /// layer off.
-  phy::MacStats mac{};
-  /// Highest raw CBR sample any honest station measured (MAC layer only).
-  double peak_cbr{0.0};
-  /// Hardened-ingest drops summed over all stations and causes.
-  std::uint64_t ingest_drops{0};
-  /// Congestion-flood replays (kCongestionFlood runs only).
-  std::uint64_t frames_flooded{0};
   /// The run tripped the per-run watchdog and stopped before its horizon.
   bool timed_out{false};
   /// Which budget bound tripped (kNone unless `timed_out`).
@@ -197,18 +188,13 @@ struct IntraAreaFloodRecord {
   sim::TimePoint last_reach_at{};  ///< time of the flood's final delivery
 };
 
-struct IntraAreaResult {
+/// The intra-area run's floods plus its counters (the RunCounters base).
+struct IntraAreaResult : RunCounters {
   std::vector<IntraAreaFloodRecord> floods;
   sim::Duration horizon{};
   std::uint64_t packets_replayed{0};
   std::uint64_t churn_crashes{0};
   std::uint64_t churn_reboots{0};
-  /// MAC-plane counters aggregated over every honest station (see
-  /// InterAreaResult::mac).
-  phy::MacStats mac{};
-  double peak_cbr{0.0};
-  std::uint64_t ingest_drops{0};
-  std::uint64_t frames_flooded{0};
   /// The run tripped the per-run watchdog and stopped before its horizon.
   bool timed_out{false};
   /// Which budget bound tripped (kNone unless `timed_out`).
@@ -217,11 +203,6 @@ struct IntraAreaResult {
   [[nodiscard]] double overall_reception() const;
   [[nodiscard]] sim::BinnedRate binned(
       sim::Duration bin = sim::Duration::seconds(5.0)) const;
-  /// Reception split by source location relative to the fully covered area
-  /// (paper §IV-A): {inside, outside}.
-  [[nodiscard]] std::pair<double, double> reception_by_source_location() const;
-  /// Flood completion times (seconds from generation to last delivery).
-  [[nodiscard]] sim::Histogram completion_latency() const;
 };
 
 /// Builds and runs the paper's highway evaluation scenario: IDM traffic on
@@ -250,16 +231,16 @@ class HighwayScenario {
   [[nodiscard]] std::size_t stations_created() const { return stations_created_; }
   [[nodiscard]] const HighwayConfig& config() const { return config_; }
 
-  [[nodiscard]] std::uint64_t churn_crashes() const { return churn_crashes_; }
-  [[nodiscard]] std::uint64_t churn_reboots() const { return churn_reboots_; }
-
  private:
   void spawn_station(traffic::Vehicle& v);
   void destroy_station(traffic::Vehicle& v);
-  /// Folds a router's MAC/ingest counters into the run totals. Stations
-  /// come and go mid-run (exit, crash), so totals accumulate at teardown
-  /// and the run end sweeps whoever is left.
+  /// Folds a router's MAC/ingest counters into `counters_`. Stations come
+  /// and go mid-run (exit, crash), so totals accumulate at teardown and
+  /// finish_counters() sweeps whoever is left.
   void harvest_station_stats(const gn::Router& router);
+  /// Writes the run's counters into `result` once its events have run:
+  /// the surviving stations harvested and the flooder's replays added.
+  void finish_counters(RunCounters& result);
   /// Creates (or re-creates, on reboot) the router half of a vehicle
   /// station; `st.mobility` must already be set. Reboots draw their RNG and
   /// their randomized initial sequence number from the churn stream.
@@ -307,10 +288,8 @@ class HighwayScenario {
   std::unique_ptr<attack::IntraAreaBlocker> blocker_;
   std::unique_ptr<attack::CongestionFlooder> flooder_;
 
-  /// Run-wide MAC/ingest totals (see harvest_station_stats).
-  phy::MacStats mac_totals_{};
-  double peak_cbr_{0.0};
-  std::uint64_t ingest_drop_totals_{0};
+  /// Run-wide counters (see harvest_station_stats).
+  RunCounters counters_{};
 
   // Workload bookkeeping.
   std::uint64_t next_packet_id_{1};

@@ -1,7 +1,8 @@
 #include "vgr/sweep/ab_codec.hpp"
 
-#include <algorithm>
 #include <cassert>
+#include <type_traits>
+#include <utility>
 
 #include "vgr/sweep/json.hpp"
 
@@ -9,32 +10,75 @@ namespace vgr::sweep {
 namespace {
 
 using scenario::AbResult;
+using scenario::RunCounters;
+
+/// Every scalar of an AbResult with its journal key. encode_ab and decode_ab
+/// both walk this list; the per-arm counters walk scenario::for_each_counter.
+template <typename Result, typename Fn>
+void for_each_scalar(Result& r, Fn&& fn) {
+  fn("attack_rate", r.attack_rate);
+  fn("baseline_reception", r.baseline_reception);
+  fn("attacked_reception", r.attacked_reception);
+  fn("rec_base_hits", r.reception_base_hits);
+  fn("rec_base_trials", r.reception_base_trials);
+  fn("rec_atk_hits", r.reception_atk_hits);
+  fn("rec_atk_trials", r.reception_atk_trials);
+  fn("runs", r.runs);
+  fn("timed_out_runs", r.timed_out_runs);
+  fn("timed_out_events", r.timed_out_events);
+  fn("timed_out_wall", r.timed_out_wall);
+}
+
+/// Writes `"key":` as the next member of the object `out` is building.
+void append_key(std::string& out, const char* key) {
+  if (out.back() != '{') out += ',';
+  out += '"';
+  out += key;
+  out += "\":";
+}
+
+template <typename T>
+void append_number(std::string& out, const char* key, T v) {
+  append_key(out, key);
+  if constexpr (std::is_floating_point_v<T>) {
+    json_append_double(out, v);
+  } else {
+    out += std::to_string(v);
+  }
+}
 
 void append_bin_array(std::string& out, const char* key, const sim::BinnedRate& bins,
                       bool hits) {
-  out += "\"";
-  out += key;
-  out += "\":[";
+  append_key(out, key);
+  out += '[';
   for (std::size_t i = 0; i < bins.bin_count(); ++i) {
-    if (i > 0) out += ",";
+    if (i > 0) out += ',';
     json_append_double(out, hits ? bins.bin_hits(i) : bins.bin_trials(i));
   }
-  out += "]";
+  out += ']';
 }
 
-void append_totals(std::string& out, const char* key, const AbResult::ArmTotals& t) {
-  out += "\"";
-  out += key;
-  out += "\":{\"mac_queue_overflow\":" + std::to_string(t.mac_queue_overflow);
-  out += ",\"mac_retry_exhausted\":" + std::to_string(t.mac_retry_exhausted);
-  out += ",\"mac_dcc_gated\":" + std::to_string(t.mac_dcc_gated);
-  out += ",\"mac_backoff_retries\":" + std::to_string(t.mac_backoff_retries);
-  out += ",\"mac_transmitted\":" + std::to_string(t.mac_transmitted);
-  out += ",\"ingest_drops\":" + std::to_string(t.ingest_drops);
-  out += ",\"frames_flooded\":" + std::to_string(t.frames_flooded);
-  out += ",\"peak_cbr\":";
-  json_append_double(out, t.peak_cbr);
-  out += "}";
+void append_counters(std::string& out, const char* key, const RunCounters& counters) {
+  append_key(out, key);
+  out += '{';
+  scenario::for_each_counter(
+      [&out](const char* name, scenario::Merge, auto v) { append_number(out, name, v); },
+      counters);
+  out += '}';
+}
+
+/// Reads member `key` of `obj` into `v`; false when it is missing or not a
+/// number, so a payload that lacks any key encode_ab writes is rejected.
+template <typename T>
+bool read_number(const JsonValue& obj, const char* key, T& v) {
+  const JsonValue* n = obj.find(key);
+  if (n == nullptr || n->kind != JsonValue::Kind::kNumber) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    v = n->as_double();
+  } else {
+    v = n->as_u64();
+  }
+  return true;
 }
 
 bool read_bins(const JsonValue& root, const char* key, sim::BinnedRate& bins, bool hits) {
@@ -54,68 +98,31 @@ bool read_bins(const JsonValue& root, const char* key, sim::BinnedRate& bins, bo
   return true;
 }
 
-bool read_totals(const JsonValue& root, const char* key, AbResult::ArmTotals& t) {
+bool read_counters(const JsonValue& root, const char* key, RunCounters& counters) {
   const JsonValue* obj = root.find(key);
   if (obj == nullptr || obj->kind != JsonValue::Kind::kObject) return false;
-  t.mac_queue_overflow = obj->u64("mac_queue_overflow");
-  t.mac_retry_exhausted = obj->u64("mac_retry_exhausted");
-  t.mac_dcc_gated = obj->u64("mac_dcc_gated");
-  t.mac_backoff_retries = obj->u64("mac_backoff_retries");
-  t.mac_transmitted = obj->u64("mac_transmitted");
-  t.ingest_drops = obj->u64("ingest_drops");
-  t.frames_flooded = obj->u64("frames_flooded");
-  t.peak_cbr = obj->num("peak_cbr");
-  return true;
-}
-
-void accumulate(AbResult::ArmTotals& into, const AbResult::ArmTotals& from) {
-  into.mac_queue_overflow += from.mac_queue_overflow;
-  into.mac_retry_exhausted += from.mac_retry_exhausted;
-  into.mac_dcc_gated += from.mac_dcc_gated;
-  into.mac_backoff_retries += from.mac_backoff_retries;
-  into.mac_transmitted += from.mac_transmitted;
-  into.ingest_drops += from.ingest_drops;
-  into.frames_flooded += from.frames_flooded;
-  into.peak_cbr = std::max(into.peak_cbr, from.peak_cbr);
+  bool ok = true;
+  scenario::for_each_counter(
+      [&](const char* name, scenario::Merge, auto& v) { ok = ok && read_number(*obj, name, v); },
+      counters);
+  return ok;
 }
 
 }  // namespace
 
 std::string encode_ab(const AbResult& r) {
   assert(r.baseline.bin_count() == r.attacked.bin_count());
-  std::string out = "{\"bin_ns\":" + std::to_string(r.baseline.bin_width().count());
-  out += ",\"bins\":" + std::to_string(r.baseline.bin_count());
-  out += ",";
+  std::string out = "{";
+  append_number(out, "bin_ns", r.baseline.bin_width().count());
+  append_number(out, "bins", r.baseline.bin_count());
   append_bin_array(out, "base_hits", r.baseline, true);
-  out += ",";
   append_bin_array(out, "base_trials", r.baseline, false);
-  out += ",";
   append_bin_array(out, "atk_hits", r.attacked, true);
-  out += ",";
   append_bin_array(out, "atk_trials", r.attacked, false);
-  out += ",\"attack_rate\":";
-  json_append_double(out, r.attack_rate);
-  out += ",\"baseline_reception\":";
-  json_append_double(out, r.baseline_reception);
-  out += ",\"attacked_reception\":";
-  json_append_double(out, r.attacked_reception);
-  out += ",\"rec_base_hits\":";
-  json_append_double(out, r.reception_base_hits);
-  out += ",\"rec_base_trials\":";
-  json_append_double(out, r.reception_base_trials);
-  out += ",\"rec_atk_hits\":";
-  json_append_double(out, r.reception_atk_hits);
-  out += ",\"rec_atk_trials\":";
-  json_append_double(out, r.reception_atk_trials);
-  out += ",\"runs\":" + std::to_string(r.runs);
-  out += ",\"timed_out_runs\":" + std::to_string(r.timed_out_runs);
-  out += ",\"timed_out_events\":" + std::to_string(r.timed_out_events);
-  out += ",\"timed_out_wall\":" + std::to_string(r.timed_out_wall);
-  out += ",";
-  append_totals(out, "baseline_totals", r.baseline_totals);
-  out += ",";
-  append_totals(out, "attacked_totals", r.attacked_totals);
-  out += "}";
+  for_each_scalar(r, [&out](const char* key, auto v) { append_number(out, key, v); });
+  append_counters(out, "baseline_totals", r.baseline_totals);
+  append_counters(out, "attacked_totals", r.attacked_totals);
+  out += '}';
   return out;
 }
 
@@ -124,35 +131,25 @@ std::optional<AbResult> decode_ab(std::string_view payload) {
   if (!parsed.has_value() || parsed->kind != JsonValue::Kind::kObject) return std::nullopt;
   const JsonValue& root = *parsed;
 
-  const auto bin_ns = static_cast<std::int64_t>(root.u64("bin_ns"));
-  const std::uint64_t bins = root.u64("bins");
-  if (bin_ns <= 0 || bins == 0) return std::nullopt;
-  const sim::Duration bin_width = sim::Duration::nanos(bin_ns);
-  const sim::Duration horizon =
-      sim::Duration::nanos(bin_ns * static_cast<std::int64_t>(bins));
+  std::uint64_t bin_ns = 0;
+  std::uint64_t bins = 0;
+  if (!read_number(root, "bin_ns", bin_ns) || !read_number(root, "bins", bins)) {
+    return std::nullopt;
+  }
+  const auto width = static_cast<std::int64_t>(bin_ns);
+  if (width <= 0 || bins == 0) return std::nullopt;
+  const sim::Duration bin_width = sim::Duration::nanos(width);
+  const sim::Duration horizon = sim::Duration::nanos(width * static_cast<std::int64_t>(bins));
 
   AbResult r{sim::BinnedRate{bin_width, horizon}, sim::BinnedRate{bin_width, horizon}};
-  if (!read_bins(root, "base_hits", r.baseline, true) ||
-      !read_bins(root, "base_trials", r.baseline, false) ||
-      !read_bins(root, "atk_hits", r.attacked, true) ||
-      !read_bins(root, "atk_trials", r.attacked, false)) {
-    return std::nullopt;
-  }
-  r.attack_rate = root.num("attack_rate");
-  r.baseline_reception = root.num("baseline_reception");
-  r.attacked_reception = root.num("attacked_reception");
-  r.reception_base_hits = root.num("rec_base_hits");
-  r.reception_base_trials = root.num("rec_base_trials");
-  r.reception_atk_hits = root.num("rec_atk_hits");
-  r.reception_atk_trials = root.num("rec_atk_trials");
-  r.runs = root.u64("runs");
-  r.timed_out_runs = root.u64("timed_out_runs");
-  r.timed_out_events = root.u64("timed_out_events");
-  r.timed_out_wall = root.u64("timed_out_wall");
-  if (!read_totals(root, "baseline_totals", r.baseline_totals) ||
-      !read_totals(root, "attacked_totals", r.attacked_totals)) {
-    return std::nullopt;
-  }
+  bool ok = read_bins(root, "base_hits", r.baseline, true) &&
+            read_bins(root, "base_trials", r.baseline, false) &&
+            read_bins(root, "atk_hits", r.attacked, true) &&
+            read_bins(root, "atk_trials", r.attacked, false) &&
+            read_counters(root, "baseline_totals", r.baseline_totals) &&
+            read_counters(root, "attacked_totals", r.attacked_totals);
+  for_each_scalar(r, [&](const char* key, auto& v) { ok = ok && read_number(root, key, v); });
+  if (!ok) return std::nullopt;
   return r;
 }
 
@@ -169,33 +166,7 @@ std::optional<AbResult> merge_ab_payloads(const std::vector<std::string>& payloa
         shard->baseline.bin_width() != merged->baseline.bin_width()) {
       return std::nullopt;
     }
-    merged->baseline.merge(shard->baseline);
-    merged->attacked.merge(shard->attacked);
-    accumulate(merged->baseline_totals, shard->baseline_totals);
-    accumulate(merged->attacked_totals, shard->attacked_totals);
-    merged->reception_base_hits += shard->reception_base_hits;
-    merged->reception_base_trials += shard->reception_base_trials;
-    merged->reception_atk_hits += shard->reception_atk_hits;
-    merged->reception_atk_trials += shard->reception_atk_trials;
-    merged->runs += shard->runs;
-    merged->timed_out_runs += shard->timed_out_runs;
-    merged->timed_out_events += shard->timed_out_events;
-    merged->timed_out_wall += shard->timed_out_wall;
-  }
-  if (!merged.has_value() || payloads.size() == 1) return merged;
-
-  // Re-derive the rates the way ab_runner does once all shards are in.
-  merged->attack_rate = sim::BinnedRate::average_drop(merged->baseline, merged->attacked);
-  if (merged->reception_base_trials > 0.0) {
-    // Inter-area: packet-weighted run averages.
-    merged->baseline_reception = merged->reception_base_hits / merged->reception_base_trials;
-    merged->attacked_reception = merged->reception_atk_trials > 0.0
-                                     ? merged->reception_atk_hits / merged->reception_atk_trials
-                                     : 0.0;
-  } else {
-    // Intra-area: overall rate of the merged bins.
-    merged->baseline_reception = merged->baseline.overall();
-    merged->attacked_reception = merged->attacked.overall();
+    merged->merge(*shard);
   }
   return merged;
 }

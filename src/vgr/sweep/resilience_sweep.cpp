@@ -110,17 +110,17 @@ CongestionRow run_congestion_point(Supervisor& sup, const HighwayConfig& base,
   const AbResult off =
       run_ab_supervised(sup, Experiment::kInterArea, label + "-dccoff", cfg, fidelity).result;
   row.recv_off = off.attacked_reception;
-  row.retry_off = off.attacked_totals.mac_retry_exhausted;
-  row.overflow_off = off.attacked_totals.mac_queue_overflow;
+  row.retry_off = off.attacked_totals.mac.retry_exhausted_drops;
+  row.overflow_off = off.attacked_totals.mac.queue_overflow_drops;
   row.cbr_off = off.attacked_totals.peak_cbr;
 
   cfg.dcc.enabled = true;
   const AbResult on =
       run_ab_supervised(sup, Experiment::kInterArea, label + "-dccon", cfg, fidelity).result;
   row.recv_on = on.attacked_reception;
-  row.retry_on = on.attacked_totals.mac_retry_exhausted;
-  row.overflow_on = on.attacked_totals.mac_queue_overflow;
-  row.gated_on = on.attacked_totals.mac_dcc_gated;
+  row.retry_on = on.attacked_totals.mac.retry_exhausted_drops;
+  row.overflow_on = on.attacked_totals.mac.queue_overflow_drops;
+  row.gated_on = on.attacked_totals.mac.dcc_gated_drops;
   row.cbr_on = on.attacked_totals.peak_cbr;
   row.frames_flooded = on.attacked_totals.frames_flooded;
   return row;

@@ -58,13 +58,6 @@ class RouterIngestTest : public ::testing::Test {
     return f;
   }
 
-  /// Sum of the per-cause ingest drop counters.
-  std::uint64_t ingest_drops() const {
-    const RouterStats& s = router_->stats();
-    return s.ingest_decode_failures + s.ingest_invalid_pv + s.ingest_invalid_rhl +
-           s.ingest_invalid_lifetime + s.ingest_oversized_payload;
-  }
-
   sim::EventQueue events_;
   phy::Medium medium_;
   security::CertificateAuthority ca_;
@@ -78,7 +71,7 @@ class RouterIngestTest : public ::testing::Test {
 TEST_F(RouterIngestTest, ValidFrameUpdatesLocationTable) {
   router_->ingest(frame_for(valid_gbc()));
   EXPECT_EQ(router_->location_table().raw_size(), 1u);
-  EXPECT_EQ(ingest_drops(), 0u);
+  EXPECT_EQ(router_->stats().ingest_drops(), 0u);
   EXPECT_EQ(router_->stats().auth_failures, 0u);
 }
 
@@ -109,11 +102,11 @@ TEST_F(RouterIngestTest, EverySingleByteCorruptionIsSafe) {
   for (std::size_t i = 0; i < wire.size(); ++i) {
     f.raw = wire;
     f.raw[i] ^= 0xFF;
-    const std::uint64_t drops_before = ingest_drops();
+    const std::uint64_t drops_before = router_->stats().ingest_drops();
     const std::uint64_t auth_before = router_->stats().auth_failures;
     const std::size_t table_before = router_->location_table().raw_size();
     router_->ingest(f);
-    const std::uint64_t drop_delta = ingest_drops() - drops_before;
+    const std::uint64_t drop_delta = router_->stats().ingest_drops() - drops_before;
     const std::uint64_t auth_delta = router_->stats().auth_failures - auth_before;
     // Partition: at most one rejection cause fires per frame.
     ASSERT_LE(drop_delta + auth_delta, 1u) << "byte " << i << " tripped multiple counters";
