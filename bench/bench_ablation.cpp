@@ -19,7 +19,7 @@ using scenario::HighwayConfig;
 namespace {
 
 double inter_attacked_reception(HighwayConfig cfg, const Fidelity& fidelity) {
-  if (fidelity.sim_seconds > 0.0) cfg.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
+  scenario::apply_fidelity(cfg, fidelity);
   cfg.attack = scenario::AttackKind::kInterArea;
   double hits = 0.0, total = 0.0;
   for (std::uint64_t run = 0; run < fidelity.runs; ++run) {
@@ -57,9 +57,7 @@ int main() {
   std::printf("\nAblation 2 — beacon period vs attacker-free GF reception\n");
   for (const double period : {1.0, 3.0, 6.0, 10.0}) {
     HighwayConfig cfg;
-    if (fidelity.sim_seconds > 0.0) {
-      cfg.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
-    }
+    scenario::apply_fidelity(cfg, fidelity);
     cfg.attack_range_m = ranges.nlos_worst_m;
     cfg.beacon_interval = sim::Duration::seconds(period);
     double hits = 0.0, total = 0.0;
@@ -112,9 +110,7 @@ int main() {
     };
     for (const auto& arm : arms) {
       HighwayConfig cfg;
-      if (fidelity.sim_seconds > 0.0) {
-        cfg.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
-      }
+      scenario::apply_fidelity(cfg, fidelity);
       cfg.attack_range_m = ranges.nlos_median_m;
       cfg.attack = scenario::AttackKind::kInterArea;
       cfg.gf_ack = arm.ack;

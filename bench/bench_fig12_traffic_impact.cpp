@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "vgr/scenario/hazard.hpp"
+#include "vgr/sim/env.hpp"
 
 using namespace vgr;
 using scenario::HazardConfig;
@@ -16,11 +17,8 @@ using scenario::HazardScenario;
 namespace {
 
 double env_seconds(double fallback) {
-  if (const char* env = std::getenv("VGR_SIM_SECONDS")) {
-    const double v = std::strtod(env, nullptr);
-    if (v > 0.0) return v;
-  }
-  return fallback;
+  const auto v = sim::env_double("VGR_SIM_SECONDS");
+  return v.has_value() && *v > 0.0 ? *v : fallback;
 }
 
 void run_case(HazardConfig::Case mode, const char* title) {

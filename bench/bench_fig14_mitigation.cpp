@@ -18,7 +18,7 @@ namespace {
 /// Merged reception over `runs` paired seeds for one (attack, mitigation)
 /// arm of the inter-area experiment.
 double inter_arm(HighwayConfig cfg, const Fidelity& fidelity, bool attacked, bool mitigated) {
-  if (fidelity.sim_seconds > 0.0) cfg.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
+  scenario::apply_fidelity(cfg, fidelity);
   cfg.attack = attacked ? scenario::AttackKind::kInterArea : scenario::AttackKind::kNone;
   cfg.mitigation =
       mitigated ? mitigation::Profile::kPlausibilityCheck : mitigation::Profile::kNone;
@@ -33,7 +33,7 @@ double inter_arm(HighwayConfig cfg, const Fidelity& fidelity, bool attacked, boo
 }
 
 double intra_arm(HighwayConfig cfg, const Fidelity& fidelity, bool attacked, bool mitigated) {
-  if (fidelity.sim_seconds > 0.0) cfg.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
+  scenario::apply_fidelity(cfg, fidelity);
   cfg.attack = attacked ? scenario::AttackKind::kIntraArea : scenario::AttackKind::kNone;
   cfg.mitigation = mitigated ? mitigation::Profile::kRhlDropCheck : mitigation::Profile::kNone;
   double hits = 0.0, total = 0.0;

@@ -119,7 +119,7 @@ int main() {
   {
     HighwayConfig cfg;
     cfg.attack_range_m = phy::range_table(cfg.tech).nlos_worst_m;
-    if (fidelity.sim_seconds > 0.0) cfg.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
+    scenario::apply_fidelity(cfg, fidelity);
     for (const bool attacked : {false, true}) {
       cfg.attack = attacked ? scenario::AttackKind::kInterArea : scenario::AttackKind::kNone;
       const auto r = scenario::HighwayScenario{cfg}.run_inter_area();

@@ -87,9 +87,7 @@ int main() {
   {
     HighwayConfig base;
     base.attack_range_m = 500.0;
-    if (fidelity.sim_seconds > 0.0) {
-      base.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
-    }
+    scenario::apply_fidelity(base, fidelity);
     // One pool task per arm of each seed-paired run (extra runs: 28 m is
     // rare); each task's world dies with it. Slot 2*run holds the run's
     // attacker-free floods, 2*run+1 its attacked ones, tallied below in
