@@ -27,6 +27,9 @@ struct RunCounters {
   std::uint64_t ingest_drops{0};
   /// Congestion-flood replays (kCongestionFlood runs only).
   std::uint64_t frames_flooded{0};
+  /// Frames every transmitter put on the channel, the attacker's included
+  /// (phy::Medium::frames_sent at run end): the forwarding overhead.
+  std::uint64_t frames_sent{0};
   /// Highest raw CBR sample any honest station measured.
   double peak_cbr{0.0};
 
@@ -49,6 +52,7 @@ constexpr void for_each_counter(Fn&& fn, Counters&... counters) {
   fn("mac_cbr_samples", Merge::kSum, counters.mac.cbr_samples...);
   fn("ingest_drops", Merge::kSum, counters.ingest_drops...);
   fn("frames_flooded", Merge::kSum, counters.frames_flooded...);
+  fn("frames_sent", Merge::kSum, counters.frames_sent...);
   fn("peak_cbr", Merge::kMax, counters.peak_cbr...);
 }
 
