@@ -7,9 +7,9 @@
 //     that also helps attacker-free traffic).
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "vgr/scenario/highway.hpp"
 
 using namespace vgr;
 using scenario::AbResult;
@@ -18,17 +18,22 @@ using scenario::HighwayConfig;
 
 namespace {
 
-double inter_attacked_reception(HighwayConfig cfg, const Fidelity& fidelity) {
-  scenario::apply_fidelity(cfg, fidelity);
+/// The inter-area arms of `configs` (attacker as configured), run in one
+/// call to the A/B runner's arm memo.
+std::vector<scenario::ArmRuns> inter_arms(const std::vector<HighwayConfig>& configs,
+                                          const Fidelity& fidelity) {
+  std::vector<scenario::Arm> arms;
+  for (const HighwayConfig& cfg : configs) arms.push_back({scenario::Experiment::kInterArea, cfg});
+  return scenario::run_arms(arms, fidelity);
+}
+
+/// The mN interceptor against the plausibility check at its defaults.
+HighwayConfig checked_mn_attack() {
+  HighwayConfig cfg;
+  cfg.attack_range_m = phy::range_table(cfg.tech).nlos_median_m;
   cfg.attack = scenario::AttackKind::kInterArea;
-  double hits = 0.0, total = 0.0;
-  for (std::uint64_t run = 0; run < fidelity.runs; ++run) {
-    cfg.seed = run + 1;
-    const auto r = scenario::HighwayScenario{cfg}.run_inter_area();
-    hits += r.overall_reception() * static_cast<double>(r.packets.size());
-    total += static_cast<double>(r.packets.size());
-  }
-  return total > 0.0 ? hits / total : 0.0;
+  cfg.mitigation = mitigation::Profile::kPlausibilityCheck;
+  return cfg;
 }
 
 }  // namespace
@@ -55,42 +60,47 @@ int main() {
   // 2. Beacon period sweep (attacker-free inter-area reception): longer
   //    periods mean staler neighbour tables and more GF losses.
   std::printf("\nAblation 2 — beacon period vs attacker-free GF reception\n");
-  for (const double period : {1.0, 3.0, 6.0, 10.0}) {
-    HighwayConfig cfg;
-    scenario::apply_fidelity(cfg, fidelity);
-    cfg.attack_range_m = ranges.nlos_worst_m;
-    cfg.beacon_interval = sim::Duration::seconds(period);
-    double hits = 0.0, total = 0.0;
-    for (std::uint64_t run = 0; run < fidelity.runs; ++run) {
-      cfg.seed = run + 1;
-      const auto r = scenario::HighwayScenario{cfg}.run_inter_area();
-      hits += r.overall_reception() * static_cast<double>(r.packets.size());
-      total += static_cast<double>(r.packets.size());
+  {
+    const double periods[] = {1.0, 3.0, 6.0, 10.0};
+    std::vector<HighwayConfig> configs;
+    for (const double period : periods) {
+      HighwayConfig cfg;
+      cfg.attack_range_m = ranges.nlos_worst_m;
+      cfg.beacon_interval = sim::Duration::seconds(period);
+      configs.push_back(cfg);
     }
-    std::printf("  beacon period %4.0f s: attacker-free reception = %.3f\n", period,
-                total > 0.0 ? hits / total : 0.0);
+    const auto runs = inter_arms(configs, fidelity);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      std::printf("  beacon period %4.0f s: attacker-free reception = %.3f\n", periods[i],
+                  runs[i].reception());
+    }
   }
 
-  // 3. Plausibility threshold sweep under the mN attacker.
+  // 3. Plausibility threshold sweep under the mN attacker. 486 m is the
+  //    router's own threshold, so that row is the same arm as ablation 4's
+  //    extrapolation-on row and ablation 5's plausibility-check row.
   std::printf("\nAblation 3 — plausibility threshold vs attacked reception (mN attacker)\n");
-  for (const double threshold : {243.0, 400.0, 486.0, 600.0, 800.0}) {
-    HighwayConfig cfg;
-    cfg.attack_range_m = ranges.nlos_median_m;
-    cfg.mitigation = mitigation::Profile::kPlausibilityCheck;
-    cfg.mitigation_params.plausibility_threshold_m = threshold;
-    std::printf("  threshold %4.0f m: attacked reception = %.3f\n", threshold,
-                inter_attacked_reception(cfg, fidelity));
+  {
+    const double thresholds[] = {243.0, 400.0, 486.0, 600.0, 800.0};
+    std::vector<HighwayConfig> configs;
+    for (const double threshold : thresholds) {
+      configs.push_back(checked_mn_attack());
+      configs.back().mitigation_params.plausibility_threshold_m = threshold;
+    }
+    const auto runs = inter_arms(configs, fidelity);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      std::printf("  threshold %4.0f m: attacked reception = %.3f\n", thresholds[i],
+                  runs[i].reception());
+    }
   }
 
   // 4. Extrapolation on/off.
   std::printf("\nAblation 4 — plausibility check with / without PV extrapolation (mN)\n");
   for (const bool extrapolate : {true, false}) {
-    HighwayConfig cfg;
-    cfg.attack_range_m = ranges.nlos_median_m;
-    cfg.mitigation = mitigation::Profile::kPlausibilityCheck;
+    HighwayConfig cfg = checked_mn_attack();
     cfg.mitigation_params.extrapolate = extrapolate;
     std::printf("  extrapolation %-3s: attacked reception = %.3f\n", extrapolate ? "on" : "off",
-                inter_attacked_reception(cfg, fidelity));
+                inter_arms({cfg}, fidelity).front().reception());
   }
 
   // 5. The ACK alternative the paper's §V-A dismisses: per-hop
@@ -99,34 +109,17 @@ int main() {
   //    for {nothing, ACKs, plausibility check}.
   std::printf("\nAblation 5 — ACK'd forwarding vs plausibility check (mN attacker)\n");
   {
-    struct Arm {
-      const char* label;
-      bool ack;
-      mitigation::Profile profile;
-    } arms[] = {
-        {"no defense", false, mitigation::Profile::kNone},
-        {"per-hop ACKs", true, mitigation::Profile::kNone},
-        {"plausibility check", false, mitigation::Profile::kPlausibilityCheck},
-    };
-    for (const auto& arm : arms) {
-      HighwayConfig cfg;
-      scenario::apply_fidelity(cfg, fidelity);
-      cfg.attack_range_m = ranges.nlos_median_m;
-      cfg.attack = scenario::AttackKind::kInterArea;
-      cfg.gf_ack = arm.ack;
-      cfg.mitigation = arm.profile;
-      double hits = 0.0, total = 0.0, frames = 0.0;
-      for (std::uint64_t run = 0; run < fidelity.runs; ++run) {
-        cfg.seed = run + 1;
-        scenario::HighwayScenario scn{cfg};
-        const auto r = scn.run_inter_area();
-        hits += r.overall_reception() * static_cast<double>(r.packets.size());
-        total += static_cast<double>(r.packets.size());
-        frames += static_cast<double>(scn.medium().frames_sent());
-      }
-      std::printf("  %-20s attacked reception = %.3f, channel frames/run = %.0f\n",
-                  arm.label, total > 0.0 ? hits / total : 0.0,
-                  frames / static_cast<double>(fidelity.runs));
+    const char* labels[] = {"no defense", "per-hop ACKs", "plausibility check"};
+    HighwayConfig undefended = checked_mn_attack();
+    undefended.mitigation = mitigation::Profile::kNone;
+    HighwayConfig acked = undefended;
+    acked.gf_ack = true;
+    const auto runs = inter_arms({undefended, acked, checked_mn_attack()}, fidelity);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      std::printf("  %-20s attacked reception = %.3f, channel frames/run = %.0f\n", labels[i],
+                  runs[i].reception(),
+                  static_cast<double>(runs[i].totals().frames_sent) /
+                      static_cast<double>(fidelity.runs));
     }
   }
 

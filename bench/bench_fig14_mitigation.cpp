@@ -5,98 +5,89 @@
 // CBF RHL-drop check (threshold 3) against the intra-area blockage attack.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "vgr/scenario/highway.hpp"
 
 using namespace vgr;
-using scenario::Fidelity;
-using scenario::HighwayConfig;
+using mitigation::Profile;
+using scenario::AttackKind;
+using scenario::Experiment;
 
 namespace {
 
-/// Merged reception over `runs` paired seeds for one (attack, mitigation)
-/// arm of the inter-area experiment.
-double inter_arm(HighwayConfig cfg, const Fidelity& fidelity, bool attacked, bool mitigated) {
-  scenario::apply_fidelity(cfg, fidelity);
-  cfg.attack = attacked ? scenario::AttackKind::kInterArea : scenario::AttackKind::kNone;
-  cfg.mitigation =
-      mitigated ? mitigation::Profile::kPlausibilityCheck : mitigation::Profile::kNone;
-  double hits = 0.0, total = 0.0;
-  for (std::uint64_t run = 0; run < fidelity.runs; ++run) {
-    cfg.seed = run + 1;
-    const auto r = scenario::HighwayScenario{cfg}.run_inter_area();
-    hits += r.overall_reception() * static_cast<double>(r.packets.size());
-    total += static_cast<double>(r.packets.size());
-  }
-  return total > 0.0 ? hits / total : 0.0;
-}
-
-double intra_arm(HighwayConfig cfg, const Fidelity& fidelity, bool attacked, bool mitigated) {
-  scenario::apply_fidelity(cfg, fidelity);
-  cfg.attack = attacked ? scenario::AttackKind::kIntraArea : scenario::AttackKind::kNone;
-  cfg.mitigation = mitigated ? mitigation::Profile::kRhlDropCheck : mitigation::Profile::kNone;
-  double hits = 0.0, total = 0.0;
-  for (std::uint64_t run = 0; run < fidelity.runs; ++run) {
-    cfg.seed = run + 1;
-    const auto r = scenario::HighwayScenario{cfg}.run_intra_area();
-    for (const auto& fl : r.floods) {
-      hits += static_cast<double>(fl.reached);
-      total += static_cast<double>(fl.total);
-    }
-  }
-  return total > 0.0 ? hits / total : 0.0;
+scenario::Arm arm(Experiment experiment, double range_m, AttackKind attack, Profile profile) {
+  scenario::HighwayConfig cfg;
+  cfg.attack_range_m = range_m;  // geometry only when no attacker is deployed
+  cfg.attack = attack;
+  cfg.mitigation = profile;
+  return {experiment, cfg};
 }
 
 }  // namespace
 
 int main() {
-  const Fidelity fidelity = Fidelity::from_env(3);
+  const scenario::Fidelity fidelity = scenario::Fidelity::from_env(3);
   bench::banner("Figure 14", "mitigation effectiveness (DSRC)", fidelity);
 
   const phy::RangeTable ranges = phy::range_table(phy::AccessTechnology::kDsrc);
-
-  std::printf("\nFig 14a — GF plausibility check (threshold %.0f m, extrapolating)\n",
-              ranges.nlos_median_m);
   struct Setting {
     const char* label;
     double range_m;
-  } settings[] = {
+  };
+  const Setting inter_settings[] = {
       {"wN attacker", ranges.nlos_worst_m},
       {"mN attacker", ranges.nlos_median_m},
       {"mL attacker", ranges.los_median_m},
   };
-  for (const auto& s : settings) {
-    HighwayConfig cfg;
-    cfg.attack_range_m = s.range_m;
-    const double plain = inter_arm(cfg, fidelity, /*attacked=*/true, /*mitigated=*/false);
-    const double fixed = inter_arm(cfg, fidelity, /*attacked=*/true, /*mitigated=*/true);
+  const Setting intra_settings[] = {
+      {"wN attacker", ranges.nlos_worst_m},
+      {"mN attacker", ranges.nlos_median_m},
+  };
+
+  // Every arm of the figure, in the order the rows print them: per 14a
+  // setting the attacked arm without and with the check, then the
+  // attacker-free pair at wN geometry, then per 14b setting the
+  // attacker-free, attacked and attacked+check arms.
+  std::vector<scenario::Arm> arms;
+  for (const Setting& s : inter_settings) {
+    for (const Profile p : {Profile::kNone, Profile::kPlausibilityCheck}) {
+      arms.push_back(arm(Experiment::kInterArea, s.range_m, AttackKind::kInterArea, p));
+    }
+  }
+  for (const Profile p : {Profile::kNone, Profile::kPlausibilityCheck}) {
+    arms.push_back(arm(Experiment::kInterArea, ranges.nlos_worst_m, AttackKind::kNone, p));
+  }
+  for (const Setting& s : intra_settings) {
+    arms.push_back(arm(Experiment::kIntraArea, s.range_m, AttackKind::kNone, Profile::kNone));
+    arms.push_back(arm(Experiment::kIntraArea, s.range_m, AttackKind::kIntraArea, Profile::kNone));
+    arms.push_back(
+        arm(Experiment::kIntraArea, s.range_m, AttackKind::kIntraArea, Profile::kRhlDropCheck));
+  }
+  const std::vector<scenario::ArmRuns> runs = scenario::run_arms(arms, fidelity);
+  std::size_t next = 0;
+  const auto reception = [&runs, &next] { return runs[next++].reception(); };
+
+  std::printf("\nFig 14a — GF plausibility check (threshold %.0f m, extrapolating)\n",
+              ranges.nlos_median_m);
+  for (const Setting& s : inter_settings) {
+    const double plain = reception();
+    const double fixed = reception();
     std::printf("  %-14s recv (attacked) = %5.3f -> %5.3f with check  (+%.1f pp)\n", s.label,
                 plain, fixed, (fixed - plain) * 100.0);
   }
   {
-    HighwayConfig cfg;
-    cfg.attack_range_m = ranges.nlos_worst_m;  // geometry only; no attacker deployed
-    const double plain = inter_arm(cfg, fidelity, /*attacked=*/false, /*mitigated=*/false);
-    const double fixed = inter_arm(cfg, fidelity, /*attacked=*/false, /*mitigated=*/true);
+    const double plain = reception();
+    const double fixed = reception();
     std::printf("  %-14s recv (no attack) = %5.3f -> %5.3f with check  (+%.1f pp)\n",
                 "attacker-free", plain, fixed, (fixed - plain) * 100.0);
   }
 
   std::printf("\nFig 14b — CBF RHL-drop check (threshold 3)\n");
-  struct IntraSetting {
-    const char* label;
-    double range_m;
-  } intra_settings[] = {
-      {"wN attacker", ranges.nlos_worst_m},
-      {"mN attacker", ranges.nlos_median_m},
-  };
-  for (const auto& s : intra_settings) {
-    HighwayConfig cfg;
-    cfg.attack_range_m = s.range_m;
-    const double af = intra_arm(cfg, fidelity, /*attacked=*/false, /*mitigated=*/false);
-    const double plain = intra_arm(cfg, fidelity, /*attacked=*/true, /*mitigated=*/false);
-    const double fixed = intra_arm(cfg, fidelity, /*attacked=*/true, /*mitigated=*/true);
+  for (const Setting& s : intra_settings) {
+    const double af = reception();
+    const double plain = reception();
+    const double fixed = reception();
     std::printf("  %-14s recv: af = %5.3f, attacked = %5.3f, attacked+check = %5.3f\n",
                 s.label, af, plain, fixed);
   }

@@ -117,18 +117,21 @@ int main() {
   // path).
   std::printf("\nDelivery latency of received packets (DSRC, wN attacker, seed 1)\n");
   {
+    // Fig 7c's TTL 20 s row ran both arms: the memo serves them.
     HighwayConfig cfg;
     cfg.attack_range_m = phy::range_table(cfg.tech).nlos_worst_m;
-    scenario::apply_fidelity(cfg, fidelity);
-    for (const bool attacked : {false, true}) {
-      cfg.attack = attacked ? scenario::AttackKind::kInterArea : scenario::AttackKind::kNone;
-      const auto r = scenario::HighwayScenario{cfg}.run_inter_area();
-      const auto lat = r.latency();
+    HighwayConfig attacked = cfg;
+    attacked.attack = scenario::AttackKind::kInterArea;
+    const std::vector<scenario::ArmRuns> runs = scenario::run_arms(
+        {{scenario::Experiment::kInterArea, cfg}, {scenario::Experiment::kInterArea, attacked}},
+        fidelity);
+    for (const bool atk : {false, true}) {
+      const sim::Histogram lat = runs[atk ? 1 : 0].inter.front().latency();
       if (lat.empty()) {
-        std::printf("  %-14s no deliveries\n", attacked ? "attacked" : "attacker-free");
+        std::printf("  %-14s no deliveries\n", atk ? "attacked" : "attacker-free");
       } else {
         std::printf("  %-14s p50 = %6.3f s, p95 = %6.3f s, max = %6.3f s (n=%zu)\n",
-                    attacked ? "attacked" : "attacker-free", lat.median(), lat.quantile(0.95),
+                    atk ? "attacked" : "attacker-free", lat.median(), lat.quantile(0.95),
                     lat.max(), lat.count());
       }
     }

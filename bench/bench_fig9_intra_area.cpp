@@ -8,8 +8,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "vgr/scenario/highway.hpp"
-#include "vgr/sim/thread_pool.hpp"
 
 using namespace vgr;
 using scenario::AbResult;
@@ -85,43 +83,36 @@ int main() {
   // fully covered area vs 37.2% outside; 500 m attacker vs 486 m DSRC).
   std::printf("\nSource-location split — DSRC, 500 m attacker (fully covered width 28 m)\n");
   {
-    HighwayConfig base;
-    base.attack_range_m = 500.0;
-    scenario::apply_fidelity(base, fidelity);
-    // One pool task per arm of each seed-paired run (extra runs: 28 m is
-    // rare); each task's world dies with it. Slot 2*run holds the run's
-    // attacker-free floods, 2*run+1 its attacked ones, tallied below in
-    // seed order on this thread.
-    std::vector<std::vector<scenario::IntraAreaFloodRecord>> floods(
-        static_cast<std::size_t>(fidelity.runs * 3 * 2));
-    sim::ThreadPool pool{fidelity.threads};
-    pool.parallel_for(floods.size(), [&](std::size_t slot) {
-      HighwayConfig arm = base;
-      arm.seed = slot / 2 + 1;
-      arm.attack = slot % 2 == 0 ? scenario::AttackKind::kNone : scenario::AttackKind::kIntraArea;
-      floods[slot] = scenario::HighwayScenario{arm}.run_intra_area().floods;
-    });
-    double hits[2][2] = {};   // [inside?][attacked?] reached
-    double totals[2][2] = {}; // [inside?][attacked?] on-road
-    std::uint64_t n_in = 0, n_out = 0;
-    for (std::size_t slot = 0; slot < floods.size(); ++slot) {
-      const std::size_t attacked = slot % 2;
-      for (const auto& fl : floods[slot]) {
-        const int in = fl.source_fully_covered ? 1 : 0;
-        if (attacked == 0) (in != 0 ? n_in : n_out) += 1;
-        hits[in][attacked] += static_cast<double>(fl.reached);
-        totals[in][attacked] += static_cast<double>(fl.total);
+    HighwayConfig split;
+    split.attack_range_m = 500.0;
+    HighwayConfig attacked = split;
+    attacked.attack = scenario::AttackKind::kIntraArea;
+    Fidelity extra = fidelity;
+    extra.runs = fidelity.runs * 3;  // extra runs: 28 m is rare
+    const std::vector<scenario::ArmRuns> runs = scenario::run_arms(
+        {{scenario::Experiment::kIntraArea, split}, {scenario::Experiment::kIntraArea, attacked}},
+        extra);
+    // An arm's runs with only the floods whose source was (or was not) in
+    // this row's fully covered area.
+    const scenario::AttackGeometry geometry = split.attack_geometry();
+    const auto sources = [&geometry](scenario::ArmRuns arm, bool inside) {
+      for (scenario::IntraAreaResult& run : arm.intra) {
+        std::erase_if(run.floods, [&](const scenario::IntraAreaFloodRecord& f) {
+          return geometry.in_fully_covered(f.source_x) != inside;
+        });
       }
-    }
-    auto blockage = [&](int in) {
-      const double af = totals[in][0] > 0.0 ? hits[in][0] / totals[in][0] : 0.0;
-      const double atk = totals[in][1] > 0.0 ? hits[in][1] / totals[in][1] : 0.0;
-      return af > 0.0 ? (1.0 - atk / af) * 100.0 : 0.0;
+      return arm;
     };
-    std::printf("  sources inside fully covered area: %llu floods, blockage = %.1f%%\n",
-                static_cast<unsigned long long>(n_in), blockage(1));
-    std::printf("  sources elsewhere:                 %llu floods, blockage = %.1f%%\n",
-                static_cast<unsigned long long>(n_out), blockage(0));
+    for (const bool inside : {true, false}) {
+      const scenario::ArmRuns af = sources(runs[0], inside);
+      const double base = af.reception();
+      const double atk = sources(runs[1], inside).reception();
+      std::size_t floods = 0;
+      for (const scenario::IntraAreaResult& run : af.intra) floods += run.floods.size();
+      std::printf("  %-34s %zu floods, blockage = %.1f%%\n",
+                  inside ? "sources inside fully covered area:" : "sources elsewhere:", floods,
+                  base > 0.0 ? (1.0 - atk / base) * 100.0 : 0.0);
+    }
   }
 
   std::printf("\npaper reference: lambda = 38.5%% (DSRC mN), 35.8%% (C-V2X mN); larger\n"

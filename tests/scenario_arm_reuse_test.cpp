@@ -129,7 +129,8 @@ TEST(ArmReuse, IntraAreaBaselineDropsTheAttackerButNothingElse) {
   // Attack range, attacker position and blocker mode only shape the
   // attacker: all four settings share one attacker-free simulation, and
   // that shared outcome is what each setting's own attacker-free world
-  // gives when simulated directly.
+  // gives when simulated directly, down to every flood record a reader
+  // may classify by its own geometry (Fig 9's source split).
   const HighwayConfig base = quick_config();
   std::vector<HighwayConfig> rows(4, base);
   rows[1].attack_range_m = 500.0;
@@ -146,7 +147,89 @@ TEST(ArmReuse, IntraAreaBaselineDropsTheAttackerButNothingElse) {
     const IntraAreaResult direct = HighwayScenario{own}.run_intra_area();
     EXPECT_EQ(results[i].baseline, direct.binned(kBinWidth));
     EXPECT_EQ(results[i].baseline_reception, results[0].baseline_reception);
+    const std::vector<IntraAreaFloodRecord> shared =
+        run_arms({{Experiment::kIntraArea, rows[i]}}, window(0, 1)).front().intra.front().floods;
+    ASSERT_FALSE(shared.empty());
+    EXPECT_EQ(shared, direct.floods);
   }
+  expect_counts(1 + 4, 3 + 4);
+}
+
+TEST(ArmReuse, PlausibilityThresholdIsKeyedAsTheRouterResolvesIt) {
+  // A threshold <= 0 keeps the router's own, the DSRC NLoS median: ablation
+  // 3's 486 m row, ablation 4's extrapolation-on row and ablation 5's
+  // plausibility-check row are one simulated arm per seed, equal to a
+  // direct world at -1.
+  HighwayConfig defaulted = quick_config();
+  defaulted.attack_range_m = phy::range_table(defaulted.tech).nlos_median_m;
+  defaulted.attack = AttackKind::kInterArea;
+  defaulted.mitigation = mitigation::Profile::kPlausibilityCheck;
+  HighwayConfig explicit_486 = defaulted;
+  explicit_486.mitigation_params.plausibility_threshold_m = 486.0;
+  HighwayConfig extrapolating = defaulted;
+  extrapolating.mitigation_params.extrapolate = true;
+  const Fidelity f = window(0, 2);
+  clear_arm_reuse();
+  const std::vector<ArmRuns> runs =
+      run_arms({{Experiment::kInterArea, explicit_486},
+                {Experiment::kInterArea, extrapolating},
+                {Experiment::kInterArea, defaulted}},
+               f);
+  expect_counts(2, 4);
+  for (std::uint64_t run = 0; run < f.runs; ++run) {
+    SCOPED_TRACE(run);
+    HighwayConfig own = defaulted;
+    own.seed = run + 1;
+    const InterAreaResult direct = HighwayScenario{own}.run_inter_area();
+    ASSERT_FALSE(direct.packets.empty());
+    for (const ArmRuns& arm : runs) EXPECT_EQ(arm.inter[run], direct);
+  }
+}
+
+TEST(ArmReuse, EachArmRunIsADirectWorldFieldForField) {
+  HighwayConfig inter = quick_config();
+  inter.attack = AttackKind::kInterArea;
+  HighwayConfig intra = quick_config();
+  intra.attack = AttackKind::kIntraArea;
+  const Fidelity f = window(1, 2);  // seeds 2 and 3
+  clear_arm_reuse();
+  const std::vector<ArmRuns> runs =
+      run_arms({{Experiment::kInterArea, inter}, {Experiment::kIntraArea, intra}}, f);
+  expect_counts(4, 0);
+  ASSERT_EQ(runs[0].inter.size(), 2u);
+  ASSERT_EQ(runs[1].intra.size(), 2u);
+  EXPECT_TRUE(runs[0].intra.empty());
+  EXPECT_TRUE(runs[1].inter.empty());
+  for (std::uint64_t run = 0; run < f.runs; ++run) {
+    SCOPED_TRACE(run);
+    inter.seed = intra.seed = f.first_run + run + 1;
+    EXPECT_EQ(runs[0].inter[run], HighwayScenario{inter}.run_inter_area());
+    EXPECT_EQ(runs[1].intra[run], HighwayScenario{intra}.run_intra_area());
+  }
+
+  // An arm's reception and counters are what the A/B merge reports for it.
+  const AbResult inter_ab = run_inter_area_ab(inter, f);
+  const AbResult intra_ab = run_intra_area_ab(intra, f);
+  EXPECT_EQ(runs[0].reception(), inter_ab.attacked_reception);
+  EXPECT_EQ(runs[0].totals(), inter_ab.attacked_totals);
+  EXPECT_EQ(runs[1].reception(), intra_ab.attacked_reception);
+  EXPECT_EQ(runs[1].totals(), intra_ab.attacked_totals);
+  EXPECT_GT(runs[0].totals().frames_sent, 0u);
+}
+
+TEST(ArmReuse, ArmsOfOneCallThatShareAKeyAreSimulatedOnce) {
+  // Fig 14b's attacker-free arms at wN and mN geometry: the flood workload
+  // ignores the geometry, so they are one arm.
+  const phy::RangeTable ranges = phy::range_table(phy::AccessTechnology::kDsrc);
+  HighwayConfig wn = quick_config();
+  wn.attack_range_m = ranges.nlos_worst_m;
+  HighwayConfig mn = quick_config();
+  mn.attack_range_m = ranges.nlos_median_m;
+  clear_arm_reuse();
+  const std::vector<ArmRuns> runs =
+      run_arms({{Experiment::kIntraArea, wn}, {Experiment::kIntraArea, mn}}, window(0, 3));
+  expect_counts(3, 3);
+  EXPECT_EQ(runs[0].intra, runs[1].intra);
 }
 
 TEST(ArmReuse, InterAreaBaselineKeepsTheAttackGeometry) {
