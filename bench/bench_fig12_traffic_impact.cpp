@@ -6,22 +6,18 @@
 
 #include <cstdio>
 
+#include "vgr/scenario/ab_runner.hpp"
 #include "vgr/scenario/hazard.hpp"
-#include "vgr/sim/env.hpp"
 
 using namespace vgr;
+using scenario::Fidelity;
 using scenario::HazardConfig;
 using scenario::HazardResult;
 using scenario::HazardScenario;
 
 namespace {
 
-double env_seconds(double fallback) {
-  const auto v = sim::env_double("VGR_SIM_SECONDS");
-  return v.has_value() && *v > 0.0 ? *v : fallback;
-}
-
-void run_case(HazardConfig::Case mode, const char* title) {
+void run_case(HazardConfig::Case mode, const char* title, const Fidelity& fidelity) {
   HazardConfig cfg;
   cfg.mode = mode;
   // Case 1 needs a longer horizon in this substrate: the GF notification
@@ -30,7 +26,8 @@ void run_case(HazardConfig::Case mode, const char* title) {
   // entries (see EXPERIMENTS.md; the paper observed ~60 s, we observe
   // ~150-190 s).
   const double default_secs = mode == HazardConfig::Case::kGreedyForwarding ? 300.0 : 200.0;
-  cfg.sim_duration = sim::Duration::seconds(env_seconds(default_secs));
+  cfg.sim_duration =
+      sim::Duration::seconds(fidelity.sim_seconds > 0.0 ? fidelity.sim_seconds : default_secs);
 
   cfg.attacked = false;
   const HazardResult af = HazardScenario{cfg}.run();
@@ -63,10 +60,15 @@ int main() {
   std::printf("Figure 12 — traffic-efficiency impact of both attacks (hazard @3,600 m)\n");
   std::printf("==========================================================================\n");
 
+  // Only the simulated seconds apply: each case is one attacker-free and
+  // one attacked run.
+  const Fidelity fidelity = Fidelity::from_env();
   run_case(HazardConfig::Case::kGreedyForwarding,
-           "Fig 12a — case 1: GF notification vs inter-area interception (mN attacker)");
+           "Fig 12a — case 1: GF notification vs inter-area interception (mN attacker)",
+           fidelity);
   run_case(HazardConfig::Case::kCbfFlood,
-           "Fig 12b — case 2: CBF notification vs intra-area blockage (500 m attacker)");
+           "Fig 12b — case 2: CBF notification vs intra-area blockage (500 m attacker)",
+           fidelity);
 
   std::printf("\npaper reference: af curves plateau once the entrance learns of the hazard\n"
               "(~65 s for GF across two-direction traffic, immediately for CBF); attacked\n"

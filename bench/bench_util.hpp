@@ -52,8 +52,8 @@ inline bool verbose() { return std::getenv("VGR_SERIES") != nullptr; }
 /// Writes the A/B reception timelines to `$VGR_CSV_DIR/<name>.csv` when CSV
 /// export is enabled (no-op otherwise).
 inline void maybe_export(const std::string& name, const scenario::AbResult& r) {
-  const std::string dir = scenario::CsvWriter::env_dir();
-  if (dir.empty()) return;
+  const char* dir = std::getenv("VGR_CSV_DIR");
+  if (dir == nullptr || *dir == '\0') return;
   scenario::CsvWriter::write_timelines(dir, name, {"attacker_free", "attacked"},
                                        {&r.baseline, &r.attacked});
 }

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "vgr/net/codec.hpp"
-#include "vgr/sim/log.hpp"
 
 namespace vgr::gn {
 namespace {
@@ -26,9 +25,6 @@ bool finite_area(const geo::GeoArea& a) {
 }
 
 }  // namespace
-
-using sim::Log;
-using sim::LogLevel;
 
 Router::Router(sim::EventQueue& events, phy::Medium& medium, security::Signer signer,
                std::shared_ptr<const security::TrustStore> trust,
@@ -933,11 +929,6 @@ void Router::transmit(const security::SecuredMessagePtr& msg, net::MacAddress ds
   frame.src = address_.mac();
   frame.dst = dst;
   frame.msg = msg;  // shares the envelope — no packet copy per transmission
-  if (Log::enabled(LogLevel::kTrace)) {
-    Log::write(LogLevel::kTrace, events_.now(), "router",
-               to_string(address_) + " @" + geo::to_string(mobility_.position()) + " tx " +
-                   to_string(msg->packet()) + (dst.is_broadcast() ? "" : " -> " + to_string(dst)));
-  }
   if (mac_layer_ != nullptr) {
     // Channel access via CSMA/CA (+ DCC pacing): the frame queues and
     // contends; the medium sees it at dequeue time. Beacons are classified

@@ -2,21 +2,7 @@
 
 #include <algorithm>
 
-#include "vgr/sim/env.hpp"
-
 namespace vgr::phy {
-
-DccConfig DccConfig::with_env_overrides() const {
-  DccConfig c = *this;
-  if (const auto v = sim::env_int("VGR_DCC"); v.has_value()) c.enabled = *v != 0;
-  if (const auto v = sim::env_double("VGR_DCC_SAMPLE_MS"); v.has_value() && *v > 0.0) {
-    c.sample_interval = sim::Duration::seconds(*v / 1000.0);
-  }
-  if (const auto v = sim::env_int("VGR_DCC_WINDOW"); v.has_value() && *v > 0) {
-    c.window_samples = std::min<std::size_t>(static_cast<std::size_t>(*v), 64);
-  }
-  return c;
-}
 
 Dcc::Dcc(DccConfig config) : config_{config} {
   config_.window_samples = std::clamp<std::size_t>(config_.window_samples, 1, window_.size());

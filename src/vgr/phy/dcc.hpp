@@ -29,6 +29,8 @@ struct DccConfig {
   /// flapping the ladder every 100 ms).
   sim::Duration sample_interval{sim::Duration::millis(100)};
   std::size_t window_samples{10};
+  /// Capacity of the Dcc sample ring: a longer window is clamped to it.
+  static constexpr std::size_t kMaxWindow = 64;
 
   /// CBR band upper edges: below `thresholds[0]` the station is Relaxed,
   /// above `thresholds[3]` it is Restrictive.
@@ -39,11 +41,6 @@ struct DccConfig {
   std::array<sim::Duration, 5> toff{
       sim::Duration::millis(60), sim::Duration::millis(100), sim::Duration::millis(180),
       sim::Duration::millis(260), sim::Duration::millis(460)};
-
-  /// Reads the VGR_DCC_* environment knobs over the programmatic values:
-  ///   VGR_DCC (0/1), VGR_DCC_SAMPLE_MS, VGR_DCC_WINDOW.
-  /// Parsing is whole-token like every other VGR_* variable.
-  [[nodiscard]] DccConfig with_env_overrides() const;
 
   friend bool operator==(const DccConfig&, const DccConfig&) = default;
 };
@@ -81,7 +78,7 @@ class Dcc {
 
   DccConfig config_;
   /// Fixed-capacity ring of the last `window_samples` samples.
-  std::array<double, 64> window_{};
+  std::array<double, DccConfig::kMaxWindow> window_{};
   std::size_t next_{0};
   std::size_t filled_{0};
   double avg_{0.0};

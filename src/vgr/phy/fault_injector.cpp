@@ -1,29 +1,6 @@
 #include "vgr/phy/fault_injector.hpp"
 
-#include "vgr/sim/env.hpp"
-
 namespace vgr::phy {
-
-FaultConfig FaultConfig::with_env_overrides() const {
-  FaultConfig c = *this;
-  const auto prob = [](const char* name, double& field) {
-    if (const auto v = sim::env_double(name); v.has_value() && *v >= 0.0 && *v <= 1.0) {
-      field = *v;
-    }
-  };
-  prob("VGR_FAULT_DROP", c.drop_probability);
-  prob("VGR_FAULT_LINK_LOSS", c.link_loss_probability);
-  prob("VGR_FAULT_CORRUPT", c.corrupt_probability);
-  prob("VGR_FAULT_DUP", c.duplicate_probability);
-  prob("VGR_FAULT_GE_P_GB", c.ge_p_good_to_bad);
-  prob("VGR_FAULT_GE_P_BG", c.ge_p_bad_to_good);
-  prob("VGR_FAULT_GE_LOSS_GOOD", c.ge_loss_good);
-  prob("VGR_FAULT_GE_LOSS_BAD", c.ge_loss_bad);
-  if (const auto v = sim::env_double("VGR_FAULT_DELAY_MS"); v.has_value() && *v >= 0.0) {
-    c.max_extra_delay_s = *v / 1000.0;
-  }
-  return c;
-}
 
 FaultInjector::FrameDecision FaultInjector::on_frame() {
   FrameDecision d;

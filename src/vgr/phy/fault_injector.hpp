@@ -54,14 +54,6 @@ struct FaultConfig {
            duplicate_probability > 0.0 || max_extra_delay_s > 0.0;
   }
 
-  /// Reads the VGR_FAULT_* environment knobs (whole-token parsed like every
-  /// other VGR_* variable; malformed values warn and are ignored):
-  ///   VGR_FAULT_DROP, VGR_FAULT_LINK_LOSS, VGR_FAULT_CORRUPT,
-  ///   VGR_FAULT_DUP, VGR_FAULT_DELAY_MS, VGR_FAULT_GE_P_GB,
-  ///   VGR_FAULT_GE_P_BG, VGR_FAULT_GE_LOSS_GOOD, VGR_FAULT_GE_LOSS_BAD.
-  /// Fields without a corresponding variable keep this config's values.
-  [[nodiscard]] FaultConfig with_env_overrides() const;
-
   friend bool operator==(const FaultConfig&, const FaultConfig&) = default;
 };
 

@@ -3,39 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "vgr/sim/env.hpp"
-
 namespace vgr::phy {
-
-MacConfig MacConfig::with_env_overrides() const {
-  MacConfig c = *this;
-  if (const auto v = sim::env_int("VGR_MAC"); v.has_value()) c.enabled = *v != 0;
-  if (const auto v = sim::env_int("VGR_MAC_QUEUE"); v.has_value() && *v > 0) {
-    c.queue_limit = static_cast<std::size_t>(*v);
-  }
-  if (const auto v = sim::env_double("VGR_MAC_SLOT_US"); v.has_value() && *v > 0.0) {
-    c.slot = sim::Duration::seconds(*v / 1e6);
-  }
-  if (const auto v = sim::env_double("VGR_MAC_AIFS_US"); v.has_value() && *v >= 0.0) {
-    c.aifs = sim::Duration::seconds(*v / 1e6);
-  }
-  if (const auto v = sim::env_int("VGR_MAC_CW_MIN"); v.has_value() && *v >= 0) {
-    c.cw_min = static_cast<int>(*v);
-  }
-  if (const auto v = sim::env_int("VGR_MAC_CW_MAX"); v.has_value() && *v >= 0) {
-    c.cw_max = static_cast<int>(*v);
-  }
-  if (const auto v = sim::env_int("VGR_MAC_RETRY"); v.has_value() && *v >= 0) {
-    c.max_retries = static_cast<int>(*v);
-  }
-  if (const auto v = sim::env_int("VGR_MAC_DCC_RETRY_SCALE"); v.has_value() && *v > 0) {
-    c.dcc_retry_scale = static_cast<int>(*v);
-  }
-  if (const auto v = sim::env_int("VGR_MAC_OVERHEAD_BYTES"); v.has_value() && *v >= 0) {
-    c.airtime_overhead_bytes = static_cast<std::size_t>(*v);
-  }
-  return c;
-}
 
 Mac::Mac(sim::EventQueue& events, Medium& medium, RadioId radio, sim::CohortId cohort,
          MacConfig config, DccConfig dcc_config, sim::Rng rng)

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 
 #include "vgr/phy/dcc.hpp"
 #include "vgr/phy/medium.hpp"
@@ -55,14 +56,17 @@ struct MacConfig {
   /// historical GN-only airtime bit-for-bit.
   std::size_t airtime_overhead_bytes{38};
 
-  /// Reads the VGR_MAC_* environment knobs over the programmatic values:
-  ///   VGR_MAC (0/1), VGR_MAC_QUEUE, VGR_MAC_SLOT_US, VGR_MAC_AIFS_US,
-  ///   VGR_MAC_CW_MIN, VGR_MAC_CW_MAX, VGR_MAC_RETRY,
-  ///   VGR_MAC_DCC_RETRY_SCALE, VGR_MAC_OVERHEAD_BYTES.
-  [[nodiscard]] MacConfig with_env_overrides() const;
+  /// Largest window and retry settings whose arithmetic stays in int: the
+  /// window grows as 2*cw+1, and the DCC retry budget is
+  /// max_retries * dcc_retry_scale. The VGR_MAC_* knobs reject larger values.
+  static constexpr int kCwLimit = (std::numeric_limits<int>::max() - 1) / 2;
+  static constexpr int kRetryLimit = 46340;
 
   friend bool operator==(const MacConfig&, const MacConfig&) = default;
 };
+
+static_assert(MacConfig::kRetryLimit * MacConfig::kRetryLimit <= std::numeric_limits<int>::max(),
+              "the DCC retry budget must fit in int");
 
 /// Per-cause MAC counters (all drops are mutually exclusive per frame).
 struct MacStats {

@@ -12,17 +12,13 @@ namespace vgr::scenario {
 namespace {
 
 /// The arm as the memo keys and simulates it: the fidelity applied (the
-/// simulated seconds, both watchdog budgets, and the resilience and MAC/DCC
-/// knobs from the environment, which leave the config untouched when
-/// unset), the seed cleared and each default two spellings share resolved.
+/// simulated seconds, both watchdog budgets, and the run-config knobs from
+/// the environment, which leave the config untouched when unset), the seed
+/// cleared and each default two spellings share resolved.
 Arm memo_key(Arm arm, const Fidelity& fidelity) {
   HighwayConfig& c = arm.config;
   c.sim_duration = fidelity.horizon(c);
-  c.faults = c.faults.with_env_overrides();
-  c.churn = c.churn.with_env_overrides();
-  c.recovery = c.recovery.with_env_overrides();
-  c.mac = c.mac.with_env_overrides();
-  c.dcc = c.dcc.with_env_overrides();
+  sim::read_knobs(c);
   c.run_wall_budget_s = fidelity.run_wall_budget_s;
   c.run_max_events = fidelity.run_max_events;
   c.seed = 0;
@@ -240,21 +236,7 @@ sim::Duration Fidelity::horizon(const HighwayConfig& config) const {
 Fidelity Fidelity::from_env(std::uint64_t default_runs) {
   Fidelity f;
   f.runs = default_runs;
-  if (const auto v = sim::env_int("VGR_RUNS"); v.has_value() && *v > 0) {
-    f.runs = static_cast<std::uint64_t>(*v);
-  }
-  if (const auto v = sim::env_double("VGR_SIM_SECONDS"); v.has_value() && *v > 0.0) {
-    f.sim_seconds = *v;
-  }
-  if (const auto v = sim::env_int("VGR_THREADS"); v.has_value() && *v > 0) {
-    f.threads = static_cast<std::size_t>(*v);
-  }
-  if (const auto v = sim::env_double("VGR_RUN_TIMEOUT_S"); v.has_value() && *v > 0.0) {
-    f.run_wall_budget_s = *v;
-  }
-  if (const auto v = sim::env_int("VGR_RUN_MAX_EVENTS"); v.has_value() && *v > 0) {
-    f.run_max_events = static_cast<std::uint64_t>(*v);
-  }
+  sim::read_knobs(f);
   return f;
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "vgr/scenario/highway.hpp"
+#include "vgr/sim/env.hpp"
 
 namespace vgr::scenario {
 
@@ -66,21 +67,13 @@ struct AbResult {
   friend bool operator==(const AbResult&, const AbResult&) = default;
 };
 
-/// Experiment fidelity, environment-overridable so the same benches run in
-/// minutes on a laptop or at full paper fidelity (100 runs x 200 s):
-///   VGR_RUNS         — runs per setting (default `default_runs`)
-///   VGR_SIM_SECONDS  — simulated seconds per run (default from config)
-///   VGR_THREADS      — worker threads for run-level parallelism
-///                      (default: all hardware threads; 1 = serial)
-///   VGR_RUN_TIMEOUT_S   — per-run wall-clock watchdog, seconds (0 = off)
-///   VGR_RUN_MAX_EVENTS  — per-run event-count circuit breaker (0 = off)
-/// The resilience knobs (`VGR_FAULT_*`, `VGR_CHURN_*`, `VGR_SCF*`,
-/// `VGR_RETX*`, `VGR_NBR_MONITOR`, `VGR_MAC*`, `VGR_DCC*`; see
-/// docs/robustness.md) are likewise applied to every arm's config by
-/// run_arms(), so any experiment can be replayed under channel faults, node
-/// churn, with the recovery layer enabled, or on a contended CSMA/CA + DCC
-/// channel. Malformed values are rejected whole-token with a stderr warning
-/// rather than silently parsed as a prefix or as 0.
+/// Experiment fidelity, environment-overridable (see for_each_knob below)
+/// so the same benches run in minutes on a laptop or at full paper fidelity
+/// (100 runs x 200 s). The run-config knobs (highway.hpp's for_each_knob:
+/// faults, churn, recovery, MAC/DCC) are likewise applied to every arm's
+/// config by run_arms(), so any experiment can be replayed under channel
+/// faults, node churn, with the recovery layer enabled, or on a contended
+/// CSMA/CA + DCC channel.
 struct Fidelity {
   std::uint64_t runs{3};
   /// Seed-range offset for sweep shards (vgr/sweep): the runs executed are
@@ -89,9 +82,10 @@ struct Fidelity {
   /// 0 (the default, not env-overridable) keeps historical behaviour.
   std::uint64_t first_run{0};
   double sim_seconds{-1.0};  ///< <= 0 keeps the config's duration
-  /// Worker threads for independent arms; 0 = auto (VGR_THREADS or all
-  /// hardware threads). Results are bit-identical for every value because
-  /// arms are merged in seed order (see ab_runner.cpp).
+  /// Worker threads for independent arms; 0 = auto (VGR_THREADS, read by
+  /// ThreadPool::default_thread_count(), or all hardware threads). Results
+  /// are bit-identical for every value because arms are merged in seed
+  /// order (see ab_runner.cpp).
   std::size_t threads{0};
   /// Per-run watchdog (see HighwayConfig): 0 disables either bound.
   double run_wall_budget_s{0.0};
@@ -100,8 +94,19 @@ struct Fidelity {
   /// Simulated length of a run of `config` under this fidelity.
   [[nodiscard]] sim::Duration horizon(const HighwayConfig& config) const;
 
+  /// `default_runs` runs, then the knobs below from the environment.
   static Fidelity from_env(std::uint64_t default_runs = 3);
 };
+
+/// Calls `fn(name, field, range)` once per fidelity knob (sim/env.hpp;
+/// docs/performance.md and docs/robustness.md have the tables).
+template <typename Fn>
+constexpr void for_each_knob(Fn&& fn, Fidelity& f) {
+  fn("VGR_RUNS", f.runs, sim::Range{.lo = 1});
+  fn("VGR_SIM_SECONDS", f.sim_seconds, sim::kPositive);
+  fn("VGR_RUN_TIMEOUT_S", f.run_wall_budget_s, sim::kPositive);
+  fn("VGR_RUN_MAX_EVENTS", f.run_max_events, sim::Range{.lo = 1});
+}
 
 /// One arm: an experiment and its config, attacker as deployed (kNone is
 /// attacker-free). The fidelity's seed window sets the seed.

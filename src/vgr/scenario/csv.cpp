@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 
 namespace vgr::scenario {
 
@@ -49,11 +48,6 @@ void CsvWriter::write_timelines(const std::string& dir, const std::string& name,
     for (const auto* s : series) values.push_back(s->rate(i));
     out.row(values);
   }
-}
-
-std::string CsvWriter::env_dir() {
-  const char* env = std::getenv("VGR_CSV_DIR");
-  return env != nullptr ? std::string{env} : std::string{};
 }
 
 }  // namespace vgr::scenario

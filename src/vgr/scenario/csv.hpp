@@ -8,7 +8,8 @@
 namespace vgr::scenario {
 
 /// Minimal CSV writer for experiment series, so figure data can be plotted
-/// outside the harness. Benches write files when VGR_CSV_DIR is set.
+/// outside the harness. Benches write files when VGR_CSV_DIR is set
+/// (bench/bench_util.hpp).
 class CsvWriter {
  public:
   /// Opens `<dir>/<name>.csv` for writing; throws nothing — a failed open
@@ -29,9 +30,6 @@ class CsvWriter {
   static void write_timelines(const std::string& dir, const std::string& name,
                               const std::vector<std::string>& labels,
                               const std::vector<const sim::BinnedRate*>& series);
-
-  /// Directory from VGR_CSV_DIR, or empty when export is disabled.
-  static std::string env_dir();
 
  private:
   std::FILE* file_{nullptr};

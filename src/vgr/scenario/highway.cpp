@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "vgr/sim/env.hpp"
-
 namespace vgr::scenario {
 namespace {
 
@@ -23,41 +21,6 @@ std::uint64_t decode_packet_id(const net::Bytes& b) {
 }
 
 }  // namespace
-
-ChurnConfig ChurnConfig::with_env_overrides() const {
-  ChurnConfig c = *this;
-  if (const auto v = sim::env_double("VGR_CHURN_RATE"); v.has_value() && *v >= 0.0) {
-    c.crash_rate_hz = *v;
-  }
-  if (const auto v = sim::env_double("VGR_CHURN_DOWNTIME_MS"); v.has_value() && *v >= 0.0) {
-    c.downtime_s = *v / 1000.0;
-  }
-  if (const auto v = sim::env_double("VGR_CHURN_REBOOT_P");
-      v.has_value() && *v >= 0.0 && *v <= 1.0) {
-    c.reboot_probability = *v;
-  }
-  return c;
-}
-
-RecoveryConfig RecoveryConfig::with_env_overrides() const {
-  RecoveryConfig r = *this;
-  if (const auto v = sim::env_int("VGR_SCF"); v.has_value()) r.scf = *v != 0;
-  if (const auto v = sim::env_int("VGR_SCF_MAX_PKTS"); v.has_value() && *v >= 0) {
-    r.scf_max_packets = static_cast<std::size_t>(*v);
-  }
-  if (const auto v = sim::env_int("VGR_SCF_MAX_BYTES"); v.has_value() && *v >= 0) {
-    r.scf_max_bytes = static_cast<std::size_t>(*v);
-  }
-  if (const auto v = sim::env_int("VGR_RETX"); v.has_value()) r.retx = *v != 0;
-  if (const auto v = sim::env_int("VGR_RETX_MAX"); v.has_value() && *v > 0) {
-    r.retx_max_attempts = static_cast<int>(*v);
-  }
-  if (const auto v = sim::env_double("VGR_RETX_BACKOFF_MS"); v.has_value() && *v > 0.0) {
-    r.retx_backoff_ms = *v;
-  }
-  if (const auto v = sim::env_int("VGR_NBR_MONITOR"); v.has_value()) r.nbr_monitor = *v != 0;
-  return r;
-}
 
 double HighwayConfig::resolved_vehicle_range() const {
   if (vehicle_range_m > 0.0) return vehicle_range_m;

@@ -14,6 +14,7 @@
 #include "vgr/scenario/station.hpp"
 #include "vgr/scenario/vulnerability.hpp"
 #include "vgr/security/authority.hpp"
+#include "vgr/sim/env.hpp"
 #include "vgr/sim/event_queue.hpp"
 #include "vgr/sim/histogram.hpp"
 #include "vgr/sim/timeline.hpp"
@@ -44,9 +45,6 @@ struct ChurnConfig {
   double reboot_probability{1.0};
 
   [[nodiscard]] bool enabled() const { return crash_rate_hz > 0.0; }
-  /// Copy with `VGR_CHURN_RATE`, `VGR_CHURN_DOWNTIME_MS` and
-  /// `VGR_CHURN_REBOOT_P` applied over the programmatic values.
-  [[nodiscard]] ChurnConfig with_env_overrides() const;
 
   friend bool operator==(const ChurnConfig&, const ChurnConfig&) = default;
 };
@@ -65,11 +63,12 @@ struct RecoveryConfig {
   double retx_backoff_ms{10.0};
   bool nbr_monitor{false};
 
+  /// Most same-hop retransmissions VGR_RETX_MAX accepts: the router doubles
+  /// the backoff per attempt, and base * 2^30 stays within the nanosecond
+  /// clock for any base below 8.5 s.
+  static constexpr int kRetxLimit = 30;
+
   [[nodiscard]] bool enabled() const { return scf || retx || nbr_monitor; }
-  /// Copy with `VGR_SCF`, `VGR_SCF_MAX_PKTS`, `VGR_SCF_MAX_BYTES`,
-  /// `VGR_RETX`, `VGR_RETX_MAX`, `VGR_RETX_BACKOFF_MS` and
-  /// `VGR_NBR_MONITOR` applied over the programmatic values.
-  [[nodiscard]] RecoveryConfig with_env_overrides() const;
 
   friend bool operator==(const RecoveryConfig&, const RecoveryConfig&) = default;
 };
@@ -149,6 +148,51 @@ struct HighwayConfig {
   /// a field added later joins the key with no edit.
   friend bool operator==(const HighwayConfig&, const HighwayConfig&) = default;
 };
+
+/// Calls `fn(name, field, range)` once per run-config knob (sim/env.hpp):
+/// the one list of the VGR_* variables run_arms() applies over every arm's
+/// config, with the fields they set and the values they accept, in the
+/// variable's unit (docs/robustness.md has the tables).
+template <typename Fn>
+constexpr void for_each_knob(Fn&& fn, HighwayConfig& c) {
+  using sim::Range;
+  constexpr Range kMillisAtLeast0{.lo = 0.0, .per_unit = 1e3};
+  fn("VGR_FAULT_DROP", c.faults.drop_probability, sim::kProbability);
+  fn("VGR_FAULT_LINK_LOSS", c.faults.link_loss_probability, sim::kProbability);
+  fn("VGR_FAULT_CORRUPT", c.faults.corrupt_probability, sim::kProbability);
+  fn("VGR_FAULT_DUP", c.faults.duplicate_probability, sim::kProbability);
+  fn("VGR_FAULT_DELAY_MS", c.faults.max_extra_delay_s, kMillisAtLeast0);
+  fn("VGR_FAULT_GE_P_GB", c.faults.ge_p_good_to_bad, sim::kProbability);
+  fn("VGR_FAULT_GE_P_BG", c.faults.ge_p_bad_to_good, sim::kProbability);
+  fn("VGR_FAULT_GE_LOSS_GOOD", c.faults.ge_loss_good, sim::kProbability);
+  fn("VGR_FAULT_GE_LOSS_BAD", c.faults.ge_loss_bad, sim::kProbability);
+  fn("VGR_CHURN_RATE", c.churn.crash_rate_hz, sim::kNonNegative);
+  fn("VGR_CHURN_DOWNTIME_MS", c.churn.downtime_s, kMillisAtLeast0);
+  fn("VGR_CHURN_REBOOT_P", c.churn.reboot_probability, sim::kProbability);
+  fn("VGR_SCF", c.recovery.scf, sim::kFlag);
+  fn("VGR_SCF_MAX_PKTS", c.recovery.scf_max_packets, sim::kNonNegative);
+  fn("VGR_SCF_MAX_BYTES", c.recovery.scf_max_bytes, sim::kNonNegative);
+  fn("VGR_RETX", c.recovery.retx, sim::kFlag);
+  fn("VGR_RETX_MAX", c.recovery.retx_max_attempts,
+     Range{.lo = 1, .hi = RecoveryConfig::kRetxLimit});
+  fn("VGR_RETX_BACKOFF_MS", c.recovery.retx_backoff_ms, sim::kPositive);
+  fn("VGR_NBR_MONITOR", c.recovery.nbr_monitor, sim::kFlag);
+  fn("VGR_MAC", c.mac.enabled, sim::kFlag);
+  fn("VGR_MAC_QUEUE", c.mac.queue_limit, Range{.lo = 1});
+  fn("VGR_MAC_SLOT_US", c.mac.slot, Range{.lo = 0.0, .lo_open = true, .per_unit = 1e6});
+  fn("VGR_MAC_AIFS_US", c.mac.aifs, Range{.lo = 0.0, .per_unit = 1e6});
+  fn("VGR_MAC_CW_MIN", c.mac.cw_min, Range{.lo = 0, .hi = phy::MacConfig::kCwLimit});
+  fn("VGR_MAC_CW_MAX", c.mac.cw_max, Range{.lo = 0, .hi = phy::MacConfig::kCwLimit});
+  fn("VGR_MAC_RETRY", c.mac.max_retries, Range{.lo = 0, .hi = phy::MacConfig::kRetryLimit});
+  fn("VGR_MAC_DCC_RETRY_SCALE", c.mac.dcc_retry_scale,
+     Range{.lo = 1, .hi = phy::MacConfig::kRetryLimit});
+  fn("VGR_MAC_OVERHEAD_BYTES", c.mac.airtime_overhead_bytes, sim::kNonNegative);
+  fn("VGR_DCC", c.dcc.enabled, sim::kFlag);
+  fn("VGR_DCC_SAMPLE_MS", c.dcc.sample_interval,
+     Range{.lo = 0.0, .lo_open = true, .per_unit = 1e3});
+  fn("VGR_DCC_WINDOW", c.dcc.window_samples,
+     Range{.lo = 1, .hi = phy::DccConfig::kMaxWindow, .clamp_hi = true});
+}
 
 /// What every highway run reports besides its workload records: the
 /// counters (the RunCounters base), the horizon, churn and the watchdog.

@@ -9,10 +9,9 @@
 namespace vgr::sim {
 
 std::size_t ThreadPool::default_thread_count() {
-  if (const auto v = env_int("VGR_THREADS"); v.has_value() && *v > 0) {
-    return static_cast<std::size_t>(*v);
-  }
-  return hardware_threads();
+  std::size_t threads = hardware_threads();
+  read_knob("VGR_THREADS", threads, kThreadsRange);
+  return threads;
 }
 
 std::size_t ThreadPool::hardware_threads() {

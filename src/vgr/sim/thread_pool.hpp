@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "vgr/sim/env.hpp"
+
 namespace vgr::sim {
 
 /// Small work-stealing thread pool for run-level parallelism.
@@ -43,9 +45,11 @@ class ThreadPool {
   /// Exceptions escaping `fn` terminate (tasks must be noexcept in spirit).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// VGR_THREADS from the environment (validated), else the hardware
+  /// VGR_THREADS from the environment (read through sim/env, so a value
+  /// outside kThreadsRange warns and is ignored), else the hardware
   /// concurrency, else 1.
   static std::size_t default_thread_count();
+  static constexpr Range kThreadsRange{.lo = 1};
 
   /// Physical hardware concurrency, ignoring VGR_THREADS; never 0 (an
   /// unknown count reports as 1). Benches use this to flag ladder rows

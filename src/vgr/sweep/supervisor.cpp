@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <exception>
@@ -41,29 +40,7 @@ const char* outcome_cause(const ShardOutcome& outcome) {
 
 SupervisorConfig SupervisorConfig::from_env() {
   SupervisorConfig c;
-  if (const auto v = sim::env_int("VGR_SWEEP"); v.has_value()) c.enabled = *v != 0;
-  if (const char* p = std::getenv("VGR_SWEEP_JOURNAL"); p != nullptr && *p != '\0') {
-    c.journal_path = p;
-  }
-  if (const auto v = sim::env_int("VGR_SWEEP_RESUME"); v.has_value()) c.resume = *v != 0;
-  if (const auto v = sim::env_int("VGR_SWEEP_RETRIES"); v.has_value() && *v >= 0) {
-    c.max_retries = static_cast<std::uint64_t>(*v);
-  }
-  if (const auto v = sim::env_double("VGR_SWEEP_BACKOFF_MS"); v.has_value() && *v >= 0.0) {
-    c.backoff_ms = *v;
-  }
-  if (const auto v = sim::env_int("VGR_SWEEP_MAX_EVENTS"); v.has_value() && *v >= 0) {
-    c.run_max_events = static_cast<std::uint64_t>(*v);
-  }
-  if (const auto v = sim::env_double("VGR_SWEEP_TIMEOUT_S"); v.has_value() && *v >= 0.0) {
-    c.run_wall_budget_s = *v;
-  }
-  if (const auto v = sim::env_int("VGR_SWEEP_SEED_CHUNK"); v.has_value() && *v >= 0) {
-    c.seed_chunk = static_cast<std::uint64_t>(*v);
-  }
-  if (const auto v = sim::env_int("VGR_SWEEP_FAULT_AFTER"); v.has_value()) {
-    c.fault_after_appends = *v;
-  }
+  sim::read_knobs(c);
   return c;
 }
 

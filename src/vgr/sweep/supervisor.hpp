@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 
+#include "vgr/sim/env.hpp"
 #include "vgr/sweep/journal.hpp"
 
 namespace vgr::sweep {
@@ -44,32 +45,38 @@ struct ShardOutcome {
   }
 };
 
-/// Supervisor knobs, all environment-overridable (docs/robustness.md):
-///   VGR_SWEEP             — 1 enables the supervised path (default off)
-///   VGR_SWEEP_JOURNAL     — journal file path (default "sweep.journal")
-///   VGR_SWEEP_RESUME      — 1 resumes: journaled shards are not re-run
-///   VGR_SWEEP_RETRIES     — full-fidelity retries per shard (default 2)
-///   VGR_SWEEP_BACKOFF_MS  — base retry backoff, doubled per retry (50)
-///   VGR_SWEEP_MAX_EVENTS  — per-run event watchdog for shards (0 = off)
-///   VGR_SWEEP_TIMEOUT_S   — per-run wall watchdog for shards (0 = off)
-///   VGR_SWEEP_SEED_CHUNK  — seeds per shard (0 = one shard per point)
-///   VGR_SWEEP_FAULT_AFTER — crash-test hook: raise(SIGKILL) after this
-///                           many journal appends (< 0 = disabled)
-/// Numeric values go through the whole-token sim::env_* parsers; malformed
-/// input warns on stderr and keeps the default.
+/// Supervisor knobs, all environment-overridable (for_each_knob below;
+/// docs/robustness.md has the table).
 struct SupervisorConfig {
-  bool enabled{false};
+  bool enabled{false};                        ///< run the supervised path
   std::string journal_path{"sweep.journal"};
-  bool resume{false};
-  std::uint64_t max_retries{2};
-  double backoff_ms{50.0};
-  std::uint64_t run_max_events{0};
-  double run_wall_budget_s{0.0};
-  std::uint64_t seed_chunk{0};
+  bool resume{false};                         ///< journaled shards are not re-run
+  std::uint64_t max_retries{2};               ///< full-fidelity retries per shard
+  double backoff_ms{50.0};                    ///< base retry backoff, doubled per retry
+  std::uint64_t run_max_events{0};            ///< per-run event watchdog (0 = off)
+  double run_wall_budget_s{0.0};              ///< per-run wall watchdog (0 = off)
+  std::uint64_t seed_chunk{0};                ///< seeds per shard (0 = one per point)
+  /// Crash-test hook: raise(SIGKILL) after this many journal appends
+  /// (< 0 = disabled).
   long long fault_after_appends{-1};
 
+  /// The defaults above, then the knobs below from the environment.
   static SupervisorConfig from_env();
 };
+
+/// Calls `fn(name, field, range)` once per supervisor knob (sim/env.hpp).
+template <typename Fn>
+constexpr void for_each_knob(Fn&& fn, SupervisorConfig& c) {
+  fn("VGR_SWEEP", c.enabled, sim::kFlag);
+  fn("VGR_SWEEP_JOURNAL", c.journal_path, sim::Range{});
+  fn("VGR_SWEEP_RESUME", c.resume, sim::kFlag);
+  fn("VGR_SWEEP_RETRIES", c.max_retries, sim::kNonNegative);
+  fn("VGR_SWEEP_BACKOFF_MS", c.backoff_ms, sim::kNonNegative);
+  fn("VGR_SWEEP_MAX_EVENTS", c.run_max_events, sim::kNonNegative);
+  fn("VGR_SWEEP_TIMEOUT_S", c.run_wall_budget_s, sim::kNonNegative);
+  fn("VGR_SWEEP_SEED_CHUNK", c.seed_chunk, sim::kNonNegative);
+  fn("VGR_SWEEP_FAULT_AFTER", c.fault_after_appends, sim::Range{});
+}
 
 /// Sweep-level health counters, reported in the bench JSON `supervisor`
 /// block so a study's output says how it was obtained, not just what.

@@ -1,10 +1,9 @@
 // Reactive DCC state machine (ETSI TS 102 687 style, docs/robustness.md):
-// CBR band ladder, sliding-window smoothing, per-state Toff, and the
-// VGR_DCC_* environment knobs.
+// CBR band ladder, sliding-window smoothing and per-state Toff. The
+// VGR_DCC_* knobs are tested with the run-config knob list
+// (scenario_knobs_test).
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "vgr/phy/dcc.hpp"
 
@@ -104,30 +103,6 @@ TEST(Dcc, WindowIsClampedToRingCapacity) {
 TEST(Dcc, StateNamesAreStable) {
   EXPECT_STREQ(name(Dcc::State::kRelaxed), "relaxed");
   EXPECT_STREQ(name(Dcc::State::kRestrictive), "restrictive");
-}
-
-TEST(DccConfig, EnvOverridesApplyWholeToken) {
-  ::setenv("VGR_DCC", "1", 1);
-  ::setenv("VGR_DCC_SAMPLE_MS", "50", 1);
-  ::setenv("VGR_DCC_WINDOW", "5", 1);
-  DccConfig cfg = DccConfig{}.with_env_overrides();
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_EQ(cfg.sample_interval, 50_ms);
-  EXPECT_EQ(cfg.window_samples, 5u);
-
-  ::setenv("VGR_DCC", "0", 1);
-  ::setenv("VGR_DCC_SAMPLE_MS", "abc", 1);  // malformed: rejected whole-token
-  ::setenv("VGR_DCC_WINDOW", "100000", 1);  // clamped to ring capacity
-  cfg = DccConfig{}.with_env_overrides();
-  EXPECT_FALSE(cfg.enabled);
-  EXPECT_EQ(cfg.sample_interval, 100_ms);
-  EXPECT_EQ(cfg.window_samples, 64u);
-
-  ::unsetenv("VGR_DCC");
-  ::unsetenv("VGR_DCC_SAMPLE_MS");
-  ::unsetenv("VGR_DCC_WINDOW");
-  cfg = DccConfig{}.with_env_overrides();
-  EXPECT_FALSE(cfg.enabled);
 }
 
 }  // namespace

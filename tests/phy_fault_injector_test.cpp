@@ -1,12 +1,12 @@
 // Fault-injector tests: determinism, the Gilbert–Elliott burst model,
-// corruption mechanics, env-knob parsing, and the medium-level delivery
-// contract (dropped / duplicated / corrupted frames as receivers see them).
+// corruption mechanics, and the medium-level delivery contract (dropped /
+// duplicated / corrupted frames as receivers see them). The VGR_FAULT_*
+// knobs are tested with the run-config knob list (scenario_knobs_test).
 
 #include "vgr/phy/fault_injector.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -118,21 +118,6 @@ TEST(FaultInjector, ExtraDelayIsBounded) {
     EXPECT_GE(d.extra_delay, sim::Duration::zero());
     EXPECT_LE(d.extra_delay, sim::Duration::seconds(0.003));
   }
-}
-
-TEST(FaultConfig, EnvOverridesParseAndValidate) {
-  ::setenv("VGR_FAULT_DROP", "0.25", 1);
-  ::setenv("VGR_FAULT_LINK_LOSS", "1.5", 1);  // out of range: ignored
-  ::setenv("VGR_FAULT_DELAY_MS", "4", 1);
-  FaultConfig base;
-  base.link_loss_probability = 0.125;
-  const FaultConfig c = base.with_env_overrides();
-  EXPECT_DOUBLE_EQ(c.drop_probability, 0.25);
-  EXPECT_DOUBLE_EQ(c.link_loss_probability, 0.125);
-  EXPECT_DOUBLE_EQ(c.max_extra_delay_s, 0.004);
-  ::unsetenv("VGR_FAULT_DROP");
-  ::unsetenv("VGR_FAULT_LINK_LOSS");
-  ::unsetenv("VGR_FAULT_DELAY_MS");
 }
 
 // --- Medium-level delivery contract ------------------------------------

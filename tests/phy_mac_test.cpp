@@ -283,16 +283,5 @@ TEST(MacConfigEnv, AirtimeOverheadDefaultsTo80211Envelope) {
   EXPECT_EQ(MacConfig{}.airtime_overhead_bytes, 38u);
 }
 
-TEST(MacConfigEnv, AirtimeOverheadEnvOverride) {
-  ::setenv("VGR_MAC_OVERHEAD_BYTES", "52", 1);
-  EXPECT_EQ(MacConfig{}.with_env_overrides().airtime_overhead_bytes, 52u);
-  ::setenv("VGR_MAC_OVERHEAD_BYTES", "0", 1);
-  EXPECT_EQ(MacConfig{}.with_env_overrides().airtime_overhead_bytes, 0u);
-  ::setenv("VGR_MAC_OVERHEAD_BYTES", "38x", 1);  // malformed: whole-token reject
-  EXPECT_EQ(MacConfig{}.with_env_overrides().airtime_overhead_bytes, 38u);
-  ::unsetenv("VGR_MAC_OVERHEAD_BYTES");
-  EXPECT_EQ(MacConfig{}.with_env_overrides().airtime_overhead_bytes, 38u);
-}
-
 }  // namespace
 }  // namespace vgr::phy

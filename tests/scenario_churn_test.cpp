@@ -1,11 +1,10 @@
 // Node-churn tests: deterministic crash/reboot scheduling at the scenario
-// layer, inert-when-disabled semantics, env knob parsing, and the duplicate-
-// detector black-hole a rebooted station avoids by randomizing its initial
+// layer, inert-when-disabled semantics, and the duplicate-detector
+// black-hole a rebooted station avoids by randomizing its initial
 // sequence number (docs/robustness.md).
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 
 #include "vgr/scenario/highway.hpp"
@@ -28,19 +27,6 @@ TEST(ChurnConfig, DisabledByDefault) {
   ChurnConfig c;
   c.crash_rate_hz = 0.1;
   EXPECT_TRUE(c.enabled());
-}
-
-TEST(ChurnConfig, EnvOverridesParseAndValidate) {
-  ::setenv("VGR_CHURN_RATE", "0.75", 1);
-  ::setenv("VGR_CHURN_DOWNTIME_MS", "1500", 1);
-  ::setenv("VGR_CHURN_REBOOT_P", "1.25", 1);  // out of range: ignored
-  const ChurnConfig c = ChurnConfig{}.with_env_overrides();
-  EXPECT_DOUBLE_EQ(c.crash_rate_hz, 0.75);
-  EXPECT_DOUBLE_EQ(c.downtime_s, 1.5);
-  EXPECT_DOUBLE_EQ(c.reboot_probability, 1.0);
-  ::unsetenv("VGR_CHURN_RATE");
-  ::unsetenv("VGR_CHURN_DOWNTIME_MS");
-  ::unsetenv("VGR_CHURN_REBOOT_P");
 }
 
 TEST(ScenarioChurn, CrashesAndRebootsHappenAndNetworkSurvives) {

@@ -10,6 +10,7 @@
 #include <cstdlib>
 
 #include "vgr/scenario/ab_runner.hpp"
+#include "vgr/sim/thread_pool.hpp"
 
 namespace vgr::scenario {
 namespace {
@@ -108,7 +109,8 @@ TEST(Fidelity, FromEnvRejectsMalformedTokensWhole) {
   Fidelity f = Fidelity::from_env(3);
   EXPECT_EQ(f.runs, 5u);
   EXPECT_DOUBLE_EQ(f.sim_seconds, 12.5);
-  EXPECT_EQ(f.threads, 2u);
+  EXPECT_EQ(f.threads, 0u);  // auto: the pool reads VGR_THREADS
+  EXPECT_EQ(sim::ThreadPool::default_thread_count(), 2u);
 
   // "5x" used to be accepted as 5 (strtol prefix parse) and "abc" silently
   // became the default; both are now rejected whole-token with a warning.
@@ -118,7 +120,7 @@ TEST(Fidelity, FromEnvRejectsMalformedTokensWhole) {
   f = Fidelity::from_env(3);
   EXPECT_EQ(f.runs, 3u);
   EXPECT_DOUBLE_EQ(f.sim_seconds, -1.0);
-  EXPECT_EQ(f.threads, 0u);
+  EXPECT_EQ(sim::ThreadPool::default_thread_count(), sim::ThreadPool::hardware_threads());
 
   ::unsetenv("VGR_RUNS");
   ::unsetenv("VGR_SIM_SECONDS");

@@ -59,23 +59,34 @@ TEST(ThreadPool, SubmitRunsDetachedTasks) {
 }
 
 TEST(EnvParsing, WholeTokenValidation) {
+  // Each read starts from -1, which a rejected or unset value leaves alone.
+  const auto read_int = [] {
+    long long v = -1;
+    read_knob("VGR_TEST_INT", v, Range{});
+    return v;
+  };
+  const auto read_double = [] {
+    double v = -1.0;
+    read_knob("VGR_TEST_DBL", v, Range{});
+    return v;
+  };
   ::setenv("VGR_TEST_INT", "42", 1);
-  EXPECT_EQ(env_int("VGR_TEST_INT"), 42);
+  EXPECT_EQ(read_int(), 42);
   ::setenv("VGR_TEST_INT", "  7", 1);  // leading blanks fine (strtol skips)
-  EXPECT_EQ(env_int("VGR_TEST_INT"), 7);
+  EXPECT_EQ(read_int(), 7);
   ::setenv("VGR_TEST_INT", "5x", 1);  // trailing garbage: reject whole token
-  EXPECT_FALSE(env_int("VGR_TEST_INT").has_value());
+  EXPECT_EQ(read_int(), -1);
   ::setenv("VGR_TEST_INT", "abc", 1);
-  EXPECT_FALSE(env_int("VGR_TEST_INT").has_value());
+  EXPECT_EQ(read_int(), -1);
   ::setenv("VGR_TEST_INT", "", 1);
-  EXPECT_FALSE(env_int("VGR_TEST_INT").has_value());
+  EXPECT_EQ(read_int(), -1);
   ::unsetenv("VGR_TEST_INT");
-  EXPECT_FALSE(env_int("VGR_TEST_INT").has_value());
+  EXPECT_EQ(read_int(), -1);
 
   ::setenv("VGR_TEST_DBL", "2.5", 1);
-  EXPECT_EQ(env_double("VGR_TEST_DBL"), 2.5);
+  EXPECT_EQ(read_double(), 2.5);
   ::setenv("VGR_TEST_DBL", "2.5s", 1);
-  EXPECT_FALSE(env_double("VGR_TEST_DBL").has_value());
+  EXPECT_EQ(read_double(), -1.0);
   ::unsetenv("VGR_TEST_DBL");
 }
 
