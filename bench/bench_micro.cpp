@@ -147,6 +147,66 @@ void BM_LocationTableUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_LocationTableUpdate)->Arg(64)->Arg(512);
 
+/// The same update as a run makes it: one frame's source written into the
+/// tables of 240 consecutive receivers, each a different table among 1,024
+/// of ~230 rows (flood_dense's 7.5 m spacing). `hinted:1` runs the table
+/// half of the router's receive hint where the medium runs it: the probe
+/// slot two tables ahead, the row one ahead. `rest` is a serial multiply chain between two updates,
+/// standing in for the rest of a delivery: without it the out-of-order core
+/// overlaps one update's cache misses with the next one's, which it cannot
+/// do in a run. One iteration is one update.
+void BM_LocationTableFanOut(benchmark::State& state) {
+  constexpr std::size_t kTables = 1024;
+  constexpr std::size_t kRows = 230;
+  constexpr std::size_t kFanOut = 240;
+  const bool hinted = state.range(0) != 0;
+  const std::int64_t rest_steps = state.range(1);
+  const auto now = sim::TimePoint::at(sim::Duration::seconds(1.0));
+  const auto address = [](std::size_t node) {
+    return net::GnAddress{net::GnAddress::StationType::kPassengerCar,
+                          net::MacAddress{node % kTables + 1}};
+  };
+  // Table t holds its road neighbours t - 115 .. t + 114.
+  std::vector<gn::LocationTable> tables(kTables, gn::LocationTable{sim::Duration::seconds(20.0)});
+  net::LongPositionVector pv;
+  pv.timestamp = now;
+  for (std::size_t t = 0; t < kTables; ++t) {
+    tables[t].reserve(128);  // as a router does
+    for (std::size_t r = 0; r < kRows; ++r) {
+      pv.address = address(t + kTables - kRows / 2 + r);
+      tables[t].update(pv, now, true);
+    }
+  }
+  // A frame from `source` reaches receivers source - 120 .. source + 119.
+  std::size_t source = 0;
+  std::size_t i = 0;
+  pv.address = address(source);
+  const auto receiver = [&](std::size_t k) -> gn::LocationTable& {
+    return tables[(source + kTables - kFanOut / 2 + k) % kTables];
+  };
+  std::uint64_t rest = 1;
+  for (auto _ : state) {
+    if (hinted) {
+      if (i + 2 < kFanOut) receiver(i + 2).prefetch_slot(pv.address);
+      if (i + 1 < kFanOut) receiver(i + 1).prefetch_row(pv.address);
+    }
+    benchmark::DoNotOptimize(receiver(i).update(pv, now, true));
+    for (std::int64_t k = 0; k < rest_steps; ++k) rest = rest * 0x9E3779B97F4A7C15ULL + 1;
+    benchmark::DoNotOptimize(rest);
+    if (++i == kFanOut) {  // the next frame, from elsewhere on the road
+      i = 0;
+      source = (source + 389) % kTables;
+      pv.address = address(source);
+    }
+  }
+}
+BENCHMARK(BM_LocationTableFanOut)
+    ->ArgNames({"hinted", "rest"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 100})
+    ->Args({1, 100});
+
 void BM_GfSelect(benchmark::State& state) {
   gn::LocationTable table{sim::Duration::seconds(20.0)};
   const auto now = sim::TimePoint::at(sim::Duration::seconds(1.0));

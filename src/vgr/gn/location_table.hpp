@@ -50,6 +50,18 @@ class LocationTable {
   /// one — the edge the router's SCF flush-on-new-neighbour keys on.
   bool update(const net::LongPositionVector& pv, sim::TimePoint now, bool direct);
 
+  /// Cache hints for an update() of `addr` a delivery or two from now (the
+  /// router's receive hint, phy::Medium::RxHint). They only prefetch: the
+  /// table is left as it was, and any table is safe, empty or not.
+  /// prefetch_slot() starts loading `addr`'s home probe slot and the table
+  /// object's own lines (its column and index headers).
+  /// prefetch_row(), issued once that slot is cached, probes it and starts
+  /// loading what update() will write: the row's PV and neighbour flag
+  /// when `addr` is present, else its MAC index slot and the columns'
+  /// append positions.
+  void prefetch_slot(net::GnAddress addr) const;
+  void prefetch_row(net::GnAddress addr) const;
+
   /// Pre-sizes the SoA columns and both flat indexes for `rows` entries.
   /// Purely a memory-plane hint: a router reserving its expected
   /// neighbourhood up front replaces the per-column doubling ladder (dozens
@@ -142,6 +154,8 @@ class LocationTable {
     void assign(std::uint64_t key, std::uint32_t value);
     /// Tombstones `key` if present.
     void erase(std::uint64_t key);
+    /// Starts loading `key`'s home slot into cache; changes nothing.
+    void prefetch(std::uint64_t key) const;
 
    private:
     enum class Ctrl : std::uint8_t { kEmpty = 0, kTombstone = 1, kFull = 2 };

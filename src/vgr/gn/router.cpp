@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <initializer_list>
 #include <utility>
 
 #include "vgr/net/codec.hpp"
@@ -62,9 +63,12 @@ Router::Router(sim::EventQueue& events, phy::Medium& medium, security::Signer si
   node.position = [this] { return mobility_.position(); };
   node.tx_range_m = tx_range_m;
   node.promiscuous = false;
-  radio_ = medium_.add_node(std::move(node), [this](const phy::Frame& f, phy::RadioId) {
-    if (running_) on_frame(f);
-  });
+  radio_ = medium_.add_node(
+      std::move(node),
+      [this](const phy::Frame& f, phy::RadioId) {
+        if (running_) on_frame(f);
+      },
+      [this](const phy::Frame& f, std::uint32_t ahead) { prefetch_rx(f, ahead); });
   if (config_.mac.enabled) {
     // The MAC's backoff stream is forked from the router's only when the
     // layer is on: a disabled MAC consumes nothing from any stream, which
@@ -362,6 +366,23 @@ void Router::on_frame(const phy::Frame& frame) {
     return;
   }
   process_frame(frame.msg, frame);
+}
+
+void Router::prefetch_rx(const phy::Frame& frame, std::uint32_t ahead) const {
+  const net::GnAddress source = frame.msg->packet().source_pv().address;
+  if (ahead == 1) {
+    loc_table_.prefetch_row(source);
+    return;
+  }
+  loc_table_.prefetch_slot(source);
+  // This router's own lines that ingest reads besides the table: the object
+  // head (event queue, trust store), the config fields and address it
+  // checks, the counters a beacon bumps and the running flag.
+  for (const void* line : std::initializer_list<const void*>{
+           this, &config_.pv_max_age, &config_.scf_enabled, &config_.nbr_monitor, &address_,
+           &stats_.beacons_received, &stats_.verify_memo_hits, &running_}) {
+    __builtin_prefetch(line);
+  }
 }
 
 void Router::process_frame(const security::SecuredMessagePtr& msg, const phy::Frame& frame) {

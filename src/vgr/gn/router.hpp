@@ -237,6 +237,13 @@ class Router {
  private:
   void on_frame(const phy::Frame& frame);
 
+  /// The medium's receive hint (phy::Medium::RxHint) for `frame`, which
+  /// on_frame will ingest `ahead` deliveries from now. Two ahead it starts
+  /// loading the location table's probe slot for the frame's source and
+  /// this router's own hot lines; one ahead, with the slot cached, the row
+  /// the update will write. Reads only.
+  void prefetch_rx(const phy::Frame& frame, std::uint32_t ahead) const;
+
   /// Routing pipeline behind `on_frame`, once the wire image (if any) has
   /// been decoded. `msg` is the *shared* immutable message — for a clean
   /// delivery it aliases `frame.msg`, which every co-receiver of the same

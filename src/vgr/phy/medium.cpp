@@ -8,11 +8,11 @@ namespace vgr::phy {
 Medium::Medium(sim::EventQueue& events, AccessTechnology tech, sim::Rng rng)
     : events_{events}, tech_{tech}, rng_{rng} {}
 
-RadioId Medium::add_node(NodeConfig config, RxCallback rx) {
+RadioId Medium::add_node(NodeConfig config, RxCallback rx, RxHint hint) {
   assert(config.position && "node needs a position source");
   assert(rx && "node needs a receive callback");
   const RadioId id{next_id_++};
-  nodes_.push_back(Node{std::move(config), std::move(rx), true, {}, {}, {}});
+  nodes_.push_back(Node{std::move(config), std::move(rx), std::move(hint), true, {}, {}, {}});
   ++live_nodes_;
   index_dirty_ = true;
   return id;
@@ -27,6 +27,7 @@ void Medium::remove_node(RadioId id) {
   if (!node.alive) return;
   node.alive = false;
   node.rx = nullptr;
+  node.hint = nullptr;
   node.config.position = nullptr;
   node.inflight.clear();
   --live_nodes_;
@@ -278,6 +279,14 @@ void Medium::deliver_next(std::uint32_t index) {
     const Arrival& after = flight.arrivals[flight.next];
     events_.schedule_reserved(after.at, after.event, [this, index] { deliver_next(index); });
   }
+  // Receive hints, a two-stage pipeline along the flight: the receiver two
+  // deliveries ahead starts its first cache miss (its location-table probe
+  // slot, in a router), and the one just ahead, whose first line has had a
+  // delivery's time to arrive, prefetches what that line points at. Each
+  // receiver is a different router with a cold table, so without this every
+  // delivery stalls on a chain of misses; hints only read.
+  hint(flight, flight.next + 1, 2);
+  hint(flight, flight.next, 1);
   const Frame* frame = flight.frame.get();
   bool lost = false;
   if (arrival.extra != kNoExtra) {
@@ -297,6 +306,14 @@ void Medium::deliver_next(std::uint32_t index) {
     flight.extras.clear();
     free_flights_.push_back(index);
   }
+}
+
+void Medium::hint(const Flight& flight, std::size_t at, std::uint32_t ahead) const {
+  if (at >= flight.arrivals.size()) return;
+  // remove_node drops the hint with `rx`, so a node removed mid-flight gets
+  // none.
+  const Node& node = node_at(RadioId{flight.arrivals[at].radio});
+  if (node.hint) node.hint(*flight.frame, ahead);
 }
 
 void Medium::ensure_index() {

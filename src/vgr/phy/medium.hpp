@@ -80,6 +80,12 @@ enum class IndexMode { kPerEvent, kExplicit };
 class Medium {
  public:
   using RxCallback = std::function<void(const Frame&, RadioId sender)>;
+  /// Receive hint: told that this node will receive `frame` `ahead`
+  /// deliveries from now (2, then 1), so it can prefetch the lines its
+  /// `rx` will touch while the medium delivers to the receivers before it.
+  /// A hint must only read: it draws no RNG, schedules nothing, counts
+  /// nothing and allocates nothing, so every output stays the same.
+  using RxHint = std::function<void(const Frame&, std::uint32_t ahead)>;
   using PositionFn = std::function<geo::Position()>;
   /// Returns true when the direct path a->b is blocked (terrain, curve).
   using ObstructionFn = std::function<bool(geo::Position, geo::Position)>;
@@ -101,8 +107,9 @@ class Medium {
     bool promiscuous{false};
   };
 
-  /// Registers a node; `rx` fires for every frame the node receives.
-  RadioId add_node(NodeConfig config, RxCallback rx);
+  /// Registers a node; `rx` fires for every frame the node receives, and
+  /// `hint`, when given, runs for each such frame shortly before `rx` does.
+  RadioId add_node(NodeConfig config, RxCallback rx, RxHint hint = {});
   void remove_node(RadioId id);
 
   /// Adjusts a node's transmission power (as an effective range).
@@ -201,6 +208,7 @@ class Medium {
   struct Node {
     NodeConfig config;
     RxCallback rx;
+    RxHint hint;
     bool alive{true};
     sim::TimePoint busy_until{};
     /// Cumulative perceived busy time (see Medium::busy_time).
@@ -269,6 +277,11 @@ class Medium {
   /// at the one after it; the flight returns to the pool after its last
   /// receiver's callback has returned (callbacks may transmit re-entrantly).
   void deliver_next(std::uint32_t index);
+
+  /// Runs the receive hint of `flight`'s arrival `at`, if that arrival
+  /// exists and its node has a hint, telling it how many deliveries ahead
+  /// it is.
+  void hint(const Flight& flight, std::size_t at, std::uint32_t ahead) const;
 
   sim::EventQueue& events_;
   AccessTechnology tech_;

@@ -1,6 +1,7 @@
 #include "vgr/scenario/ab_runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -11,14 +12,54 @@
 namespace vgr::scenario {
 namespace {
 
+/// How many knobs highway.hpp's run-config list declares.
+constexpr std::size_t kRunKnobCount = [] {
+  HighwayConfig c;
+  std::size_t n = 0;
+  for_each_knob([&n](const char*, auto&, const sim::Range&) { ++n; }, c);
+  return n;
+}();
+
+/// The run-config knobs (highway.hpp's for_each_knob) the environment
+/// sets, read once per run_arms call: a rejected value warns once, however
+/// many arms the call has.
+class RunKnobs {
+ public:
+  RunKnobs() {
+    std::size_t i = 0;
+    for_each_knob([&](const char* name, auto& field, const sim::Range& range) {
+      read_[i++] = sim::read_knob(name, field, range) ? &field : nullptr;
+    }, values_);
+  }
+  RunKnobs(const RunKnobs&) = delete;
+  RunKnobs& operator=(const RunKnobs&) = delete;
+
+  /// Sets every knob the environment sets on `config`, a value equal to
+  /// the default included; unset and rejected knobs leave it alone.
+  void apply(HighwayConfig& config) const {
+    std::size_t i = 0;
+    for_each_knob([&](const char*, auto& field, const sim::Range&) {
+      using Field = std::remove_reference_t<decltype(field)>;
+      if (read_[i] != nullptr) field = *static_cast<const Field*>(read_[i]);
+      ++i;
+    }, config);
+  }
+
+ private:
+  HighwayConfig values_;
+  /// Per knob, in list order: its field in values_ when the environment
+  /// set it, else null.
+  std::array<const void*, kRunKnobCount> read_{};
+};
+
 /// The arm as the memo keys and simulates it: the fidelity applied (the
-/// simulated seconds, both watchdog budgets, and the run-config knobs from
-/// the environment, which leave the config untouched when unset), the seed
-/// cleared and each default two spellings share resolved.
-Arm memo_key(Arm arm, const Fidelity& fidelity) {
+/// simulated seconds and both watchdog budgets) and the run-config knobs
+/// the environment sets, the seed cleared and each default two spellings
+/// share resolved.
+Arm memo_key(Arm arm, const Fidelity& fidelity, const RunKnobs& knobs) {
   HighwayConfig& c = arm.config;
   c.sim_duration = fidelity.horizon(c);
-  sim::read_knobs(c);
+  knobs.apply(c);
   c.run_wall_budget_s = fidelity.run_wall_budget_s;
   c.run_max_events = fidelity.run_max_events;
   c.seed = 0;
@@ -111,8 +152,9 @@ std::vector<ArmRuns> run_arms(const std::vector<Arm>& arms, const Fidelity& fide
     memo.first_run = fidelity.first_run;
     memo.runs = fidelity.runs;
   }
+  const RunKnobs knobs;
   std::vector<std::size_t> entry;
-  for (const Arm& arm : arms) entry.push_back(memo.find_or_add(memo_key(arm, fidelity)));
+  for (const Arm& arm : arms) entry.push_back(memo.find_or_add(memo_key(arm, fidelity, knobs)));
 
   // Each (entry, run) the memo lacks, once however many arms share it, run
   // by run in the arms' order: an A/B call queues A then B per seed.

@@ -96,15 +96,18 @@ struct Fidelity {
 
   /// `default_runs` runs, then the knobs below from the environment.
   static Fidelity from_env(std::uint64_t default_runs = 3);
+
+  friend bool operator==(const Fidelity&, const Fidelity&) = default;
 };
 
 /// Calls `fn(name, field, range)` once per fidelity knob (sim/env.hpp;
 /// docs/performance.md and docs/robustness.md have the tables).
 template <typename Fn>
 constexpr void for_each_knob(Fn&& fn, Fidelity& f) {
+  constexpr sim::Range kSeconds{.lo = 0.0, .hi = sim::kMaxKnobSeconds, .lo_open = true};
   fn("VGR_RUNS", f.runs, sim::Range{.lo = 1});
-  fn("VGR_SIM_SECONDS", f.sim_seconds, sim::kPositive);
-  fn("VGR_RUN_TIMEOUT_S", f.run_wall_budget_s, sim::kPositive);
+  fn("VGR_SIM_SECONDS", f.sim_seconds, kSeconds);
+  fn("VGR_RUN_TIMEOUT_S", f.run_wall_budget_s, kSeconds);
   fn("VGR_RUN_MAX_EVENTS", f.run_max_events, sim::Range{.lo = 1});
 }
 

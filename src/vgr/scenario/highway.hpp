@@ -156,18 +156,23 @@ struct HighwayConfig {
 template <typename Fn>
 constexpr void for_each_knob(Fn&& fn, HighwayConfig& c) {
   using sim::Range;
-  constexpr Range kMillisAtLeast0{.lo = 0.0, .per_unit = 1e3};
+  // Time knobs stop at sim::kMaxKnobSeconds. A retransmission backoff
+  // doubles up to kRetxLimit (30) times and a MAC backoff is up to kCwLimit
+  // (< 2^30) slots, so those two stop at 8.5 s: 8.5 s * 2^30 still fits the
+  // nanosecond clock.
+  constexpr double kMaxScaledSeconds = 8.5;
+  constexpr Range kMillis{.lo = 0.0, .hi = sim::kMaxKnobSeconds * 1e3, .per_unit = 1e3};
   fn("VGR_FAULT_DROP", c.faults.drop_probability, sim::kProbability);
   fn("VGR_FAULT_LINK_LOSS", c.faults.link_loss_probability, sim::kProbability);
   fn("VGR_FAULT_CORRUPT", c.faults.corrupt_probability, sim::kProbability);
   fn("VGR_FAULT_DUP", c.faults.duplicate_probability, sim::kProbability);
-  fn("VGR_FAULT_DELAY_MS", c.faults.max_extra_delay_s, kMillisAtLeast0);
+  fn("VGR_FAULT_DELAY_MS", c.faults.max_extra_delay_s, kMillis);
   fn("VGR_FAULT_GE_P_GB", c.faults.ge_p_good_to_bad, sim::kProbability);
   fn("VGR_FAULT_GE_P_BG", c.faults.ge_p_bad_to_good, sim::kProbability);
   fn("VGR_FAULT_GE_LOSS_GOOD", c.faults.ge_loss_good, sim::kProbability);
   fn("VGR_FAULT_GE_LOSS_BAD", c.faults.ge_loss_bad, sim::kProbability);
   fn("VGR_CHURN_RATE", c.churn.crash_rate_hz, sim::kNonNegative);
-  fn("VGR_CHURN_DOWNTIME_MS", c.churn.downtime_s, kMillisAtLeast0);
+  fn("VGR_CHURN_DOWNTIME_MS", c.churn.downtime_s, kMillis);
   fn("VGR_CHURN_REBOOT_P", c.churn.reboot_probability, sim::kProbability);
   fn("VGR_SCF", c.recovery.scf, sim::kFlag);
   fn("VGR_SCF_MAX_PKTS", c.recovery.scf_max_packets, sim::kNonNegative);
@@ -175,12 +180,15 @@ constexpr void for_each_knob(Fn&& fn, HighwayConfig& c) {
   fn("VGR_RETX", c.recovery.retx, sim::kFlag);
   fn("VGR_RETX_MAX", c.recovery.retx_max_attempts,
      Range{.lo = 1, .hi = RecoveryConfig::kRetxLimit});
-  fn("VGR_RETX_BACKOFF_MS", c.recovery.retx_backoff_ms, sim::kPositive);
+  fn("VGR_RETX_BACKOFF_MS", c.recovery.retx_backoff_ms,
+     Range{.lo = 0.0, .hi = kMaxScaledSeconds * 1e3, .lo_open = true});
   fn("VGR_NBR_MONITOR", c.recovery.nbr_monitor, sim::kFlag);
   fn("VGR_MAC", c.mac.enabled, sim::kFlag);
   fn("VGR_MAC_QUEUE", c.mac.queue_limit, Range{.lo = 1});
-  fn("VGR_MAC_SLOT_US", c.mac.slot, Range{.lo = 0.0, .lo_open = true, .per_unit = 1e6});
-  fn("VGR_MAC_AIFS_US", c.mac.aifs, Range{.lo = 0.0, .per_unit = 1e6});
+  fn("VGR_MAC_SLOT_US", c.mac.slot,
+     Range{.lo = 0.0, .hi = kMaxScaledSeconds * 1e6, .lo_open = true, .per_unit = 1e6});
+  fn("VGR_MAC_AIFS_US", c.mac.aifs,
+     Range{.lo = 0.0, .hi = sim::kMaxKnobSeconds * 1e6, .per_unit = 1e6});
   fn("VGR_MAC_CW_MIN", c.mac.cw_min, Range{.lo = 0, .hi = phy::MacConfig::kCwLimit});
   fn("VGR_MAC_CW_MAX", c.mac.cw_max, Range{.lo = 0, .hi = phy::MacConfig::kCwLimit});
   fn("VGR_MAC_RETRY", c.mac.max_retries, Range{.lo = 0, .hi = phy::MacConfig::kRetryLimit});
@@ -189,7 +197,7 @@ constexpr void for_each_knob(Fn&& fn, HighwayConfig& c) {
   fn("VGR_MAC_OVERHEAD_BYTES", c.mac.airtime_overhead_bytes, sim::kNonNegative);
   fn("VGR_DCC", c.dcc.enabled, sim::kFlag);
   fn("VGR_DCC_SAMPLE_MS", c.dcc.sample_interval,
-     Range{.lo = 0.0, .lo_open = true, .per_unit = 1e3});
+     Range{.lo = 0.0, .hi = sim::kMaxKnobSeconds * 1e3, .lo_open = true, .per_unit = 1e3});
   fn("VGR_DCC_WINDOW", c.dcc.window_samples,
      Range{.lo = 1, .hi = phy::DccConfig::kMaxWindow, .clamp_hi = true});
 }

@@ -36,10 +36,15 @@ struct Range {
   double per_unit{1.0};
 };
 
+/// The longest time a time knob accepts, in seconds (11.6 days): every
+/// Duration derived from one (a horizon, or a delay or interval added to
+/// it) stays far inside the int64 nanosecond clock, and a run's 5 s result
+/// bins stay a 200,000-entry vector.
+inline constexpr double kMaxKnobSeconds = 1e6;
+
 inline constexpr Range kFlag{};  ///< any integer; nonzero switches the field on
 inline constexpr Range kProbability{.lo = 0.0, .hi = 1.0};
 inline constexpr Range kNonNegative{.lo = 0.0};
-inline constexpr Range kPositive{.lo = 0.0, .lo_open = true};
 
 /// A numeric range as the docs tables' Range column and the rejection
 /// warnings spell it: "[0, 1]", "> 0", "≥ 1, clamped to 64", "any".
@@ -67,29 +72,33 @@ std::optional<std::string> read_text(const char* name);
 }  // namespace detail
 
 /// The one reader: applies variable `name` to `field` when it is set and
-/// accepted (see above). A Duration field gets value / per_unit seconds.
+/// accepted (see above), and says whether it did. A Duration field gets
+/// value / per_unit seconds.
 template <typename T>
-void read_knob(const char* name, T& field, const Range& range) {
+bool read_knob(const char* name, T& field, const Range& range) {
   if constexpr (std::is_same_v<T, bool>) {
-    if (const auto v = detail::read_int(name, range); v.has_value()) field = *v != 0;
+    const auto v = detail::read_int(name, range);
+    if (v.has_value()) field = *v != 0;
+    return v.has_value();
   } else if constexpr (std::is_integral_v<T>) {
-    if (const auto v = detail::read_int(name, range,
-                                        static_cast<double>(std::numeric_limits<T>::min()),
-                                        static_cast<double>(std::numeric_limits<T>::max()));
-        v.has_value()) {
-      field = static_cast<T>(*v);
-    }
+    const auto v = detail::read_int(name, range,
+                                    static_cast<double>(std::numeric_limits<T>::min()),
+                                    static_cast<double>(std::numeric_limits<T>::max()));
+    if (v.has_value()) field = static_cast<T>(*v);
+    return v.has_value();
   } else if constexpr (std::is_same_v<T, std::string>) {
-    if (auto v = detail::read_text(name); v.has_value()) field = std::move(*v);
+    auto v = detail::read_text(name);
+    if (v.has_value()) field = std::move(*v);
+    return v.has_value();
   } else if constexpr (std::is_same_v<T, Duration>) {
-    if (const auto v = detail::read_real(name, range); v.has_value()) {
-      field = Duration::seconds(*v / range.per_unit);
-    }
+    const auto v = detail::read_real(name, range);
+    if (v.has_value()) field = Duration::seconds(*v / range.per_unit);
+    return v.has_value();
   } else {
     static_assert(std::is_floating_point_v<T>, "no reader for this knob's field type");
-    if (const auto v = detail::read_real(name, range); v.has_value()) {
-      field = *v / range.per_unit;
-    }
+    const auto v = detail::read_real(name, range);
+    if (v.has_value()) field = *v / range.per_unit;
+    return v.has_value();
   }
 }
 

@@ -62,6 +62,8 @@ struct SupervisorConfig {
 
   /// The defaults above, then the knobs below from the environment.
   static SupervisorConfig from_env();
+
+  friend bool operator==(const SupervisorConfig&, const SupervisorConfig&) = default;
 };
 
 /// Calls `fn(name, field, range)` once per supervisor knob (sim/env.hpp).
@@ -73,7 +75,8 @@ constexpr void for_each_knob(Fn&& fn, SupervisorConfig& c) {
   fn("VGR_SWEEP_RETRIES", c.max_retries, sim::kNonNegative);
   fn("VGR_SWEEP_BACKOFF_MS", c.backoff_ms, sim::kNonNegative);
   fn("VGR_SWEEP_MAX_EVENTS", c.run_max_events, sim::kNonNegative);
-  fn("VGR_SWEEP_TIMEOUT_S", c.run_wall_budget_s, sim::kNonNegative);
+  fn("VGR_SWEEP_TIMEOUT_S", c.run_wall_budget_s,
+     sim::Range{.lo = 0.0, .hi = sim::kMaxKnobSeconds});
   fn("VGR_SWEEP_SEED_CHUNK", c.seed_chunk, sim::kNonNegative);
   fn("VGR_SWEEP_FAULT_AFTER", c.fault_after_appends, sim::Range{});
 }

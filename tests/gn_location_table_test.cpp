@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "vgr/gn/location_table.hpp"
 
 namespace vgr::gn {
@@ -183,6 +185,74 @@ TEST(LocationTable, StaleTimestampIsNotANewNeighbor) {
   const auto t0 = sim::TimePoint::origin();
   t.update(pv(1, 100.0, t0 + 5_s), t0 + 5_s, true);
   EXPECT_FALSE(t.update(pv(1, 50.0, t0 + 1_s), t0 + 6_s, true));
+}
+
+/// Hints every address 1..40 and checks that the table reads the same
+/// before and after each hint.
+void hint_every_address(const LocationTable& t, sim::TimePoint now) {
+  for (std::uint64_t mac = 1; mac <= 40; ++mac) {
+    const net::GnAddress a = pv(mac, 0).address;
+    const std::size_t rows = t.raw_size();
+    const std::optional<LocTableEntry> before = t.find(a, now);
+    const LocationTable::Columns cols = t.columns();
+    t.prefetch_slot(a);
+    t.prefetch_row(a);
+    EXPECT_EQ(t.raw_size(), rows);
+    const std::optional<LocTableEntry> after = t.find(a, now);
+    ASSERT_EQ(after.has_value(), before.has_value()) << mac;
+    if (after.has_value()) {
+      EXPECT_EQ(after->pv, before->pv);
+      EXPECT_EQ(after->expiry, before->expiry);
+      EXPECT_EQ(after->is_neighbor, before->is_neighbor);
+    }
+    const LocationTable::Columns now_cols = t.columns();
+    EXPECT_EQ(now_cols.addr, cols.addr);
+    EXPECT_EQ(now_cols.pv, cols.pv);
+    EXPECT_EQ(now_cols.is_neighbor, cols.is_neighbor);
+    EXPECT_EQ(now_cols.size, cols.size);
+  }
+}
+
+// The prefetch helpers only hint the cache. On any table (nothing allocated
+// yet, present and absent addresses, tombstones, purged rows, columns full
+// to their reserved room) they change nothing observable; the sanitizer
+// build runs this under ASan, UBSan and the library's bounds assertions.
+TEST(LocationTable, PrefetchHelpersChangeNothingOnAnyTable) {
+  const auto t0 = sim::TimePoint::origin();
+  LocationTable t{20_s};
+  {
+    SCOPED_TRACE("empty");
+    hint_every_address(t, t0);
+  }
+  for (std::uint64_t mac = 1; mac <= 20; ++mac) t.update(pv(mac, 10.0 * mac, t0), t0, true);
+  {
+    SCOPED_TRACE("rows 1..20");
+    hint_every_address(t, t0);
+  }
+  for (std::uint64_t mac = 1; mac <= 20; mac += 2) t.erase(pv(mac, 0).address);
+  {
+    SCOPED_TRACE("odd rows erased");
+    hint_every_address(t, t0);
+  }
+  for (std::uint64_t mac = 2; mac <= 20; mac += 2) t.erase(pv(mac, 0).address);
+  {
+    SCOPED_TRACE("every row erased");
+    hint_every_address(t, t0);
+  }
+  for (std::uint64_t mac = 1; mac <= 30; ++mac) t.update(pv(mac, 10.0 * mac, t0), t0, true);
+  t.purge(t0 + 20_s);
+  {
+    SCOPED_TRACE("purged");
+    ASSERT_EQ(t.raw_size(), 0u);
+    hint_every_address(t, t0 + 20_s);
+  }
+  LocationTable full{20_s};
+  full.reserve(16);
+  for (std::uint64_t mac = 1; mac <= 16; ++mac) full.update(pv(mac, 10.0 * mac, t0), t0, true);
+  {
+    SCOPED_TRACE("reserved room used up");
+    hint_every_address(full, t0);
+  }
 }
 
 TEST(LocationTable, EraseRemovesEntry) {

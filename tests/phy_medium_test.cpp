@@ -225,15 +225,19 @@ TEST_F(MediumTest, AirtimeOverheadExtendsTheBusyWindow) {
 // tie the earlier-sent frame delivers first and, within one frame, the lower
 // RadioId does; an event scheduled before the transmissions fires ahead of
 // them and one scheduled after fires behind.
-class DeliveryOrderTest : public ::testing::Test {
- protected:
-  DeliveryOrderTest() : medium_{events_, AccessTechnology::kDsrc} {
+//
+// A hinted scene gives every node a receive hint. `trace_` then interleaves
+// hints ("<node>+<ahead>") with receptions ("<receiver><<sender>").
+struct Scene {
+  explicit Scene(bool hinted) : medium_{events_, AccessTechnology::kDsrc}, hinted_{hinted} {
     for (const auto& [name, x] : std::vector<std::pair<char, double>>{
              {'A', 0.0}, {'B', 100.0}, {'C', 30.0}, {'D', 50.0}, {'E', 70.0},
              {'F', 130.0}, {'G', -30.0}}) {
       add(name, x);
     }
   }
+  Scene(const Scene&) = delete;  // the medium's callbacks hold `this`
+  Scene& operator=(const Scene&) = delete;
 
   void add(char name, double x) {
     names_.push_back(name);
@@ -241,14 +245,28 @@ class DeliveryOrderTest : public ::testing::Test {
     cfg.mac = net::MacAddress{static_cast<std::uint64_t>(name)};
     cfg.position = [x] { return geo::Position{x, 0.0}; };
     cfg.tx_range_m = 200.0;
-    medium_.add_node(std::move(cfg), [this, name](const Frame& f, RadioId from) {
-      log(std::string{name} + "<" + names_[from.value - 1] + (f.raw.empty() ? "" : "*"));
-      if (const auto it = on_rx_.find(name); it != on_rx_.end()) {
-        auto hook = std::move(it->second);
-        on_rx_.erase(it);  // one-shot
-        hook();
-      }
-    });
+    Medium::RxHint hint;
+    if (hinted_) {
+      hint = [this, name](const Frame& f, std::uint32_t ahead) {
+        trace_ += std::string{name} + "+" + std::to_string(ahead) + " ";
+        hint_frames_.push_back(&f);
+      };
+    }
+    medium_.add_node(
+        std::move(cfg),
+        [this, name](const Frame& f, RadioId from) {
+          log(std::string{name} + "<" + names_[from.value - 1] + (f.raw.empty() ? "" : "*"));
+          trace_ += std::string{name} + "<" + names_[from.value - 1] + " ";
+          rx_frames_.push_back(&f);
+          counts_ += std::to_string(events_.fired_count()) + "/" +
+                     std::to_string(events_.pending_count()) + " ";
+          if (const auto it = on_rx_.find(name); it != on_rx_.end()) {
+            auto hook = std::move(it->second);
+            on_rx_.erase(it);  // one-shot
+            hook();
+          }
+        },
+        std::move(hint));
   }
 
   void log(const std::string& what) {
@@ -275,10 +293,20 @@ class DeliveryOrderTest : public ::testing::Test {
 
   sim::EventQueue events_;
   Medium medium_;
+  bool hinted_;
   std::vector<char> names_;
   std::map<char, std::function<void()>> on_rx_;
   sim::TimePoint t0_{};
   std::string log_;
+  std::string trace_;
+  std::string counts_;  ///< fired/pending counts at each reception
+  std::vector<const Frame*> hint_frames_;
+  std::vector<const Frame*> rx_frames_;
+};
+
+class DeliveryOrderTest : public ::testing::Test, public Scene {
+ protected:
+  DeliveryOrderTest() : Scene{false} {}
 };
 
 TEST_F(DeliveryOrderTest, TiesAcrossFramesRemovalAndReentrantTransmit) {
@@ -337,6 +365,56 @@ TEST_F(DeliveryOrderTest, OneCalendarEntryPerFrameOneFiredEventPerDelivery) {
   EXPECT_EQ(events_.fired_count() - fired_before, 6u);
   EXPECT_EQ(medium_.frames_delivered(), 6u);
   EXPECT_EQ(events_.pending_count(), 0u);
+}
+
+// --- Receive hints ------------------------------------------------------------
+
+TEST(ReceiveHint, RunsTwoThenOneDeliveryAheadOnlyForLiveReceiversStillAhead) {
+  // A's frame arrives at C, G, D, E, B, F in that order. Each receiver's
+  // hint runs two deliveries ahead, then one, then its rx; the first
+  // receiver is never ahead of anything. C's reception removes D from the
+  // medium, and D gets no hint from then on.
+  Scene scene{true};
+  scene.on_rx_['C'] = [&scene] { scene.medium_.remove_node(scene.id('D')); };
+  scene.send('A');
+  scene.events_.run_until(scene.t0_ + 1_s);
+  EXPECT_EQ(scene.trace_, "D+2 G+1 C<A E+2 G<A B+2 E+1 F+2 B+1 E<A F+1 B<A F<A ");
+  // Hints see the flight's frame, the one every clean reception gets.
+  ASSERT_FALSE(scene.rx_frames_.empty());
+  for (const Frame* f : scene.hint_frames_) EXPECT_EQ(f, scene.rx_frames_.front());
+  for (const Frame* f : scene.rx_frames_) EXPECT_EQ(f, scene.rx_frames_.front());
+}
+
+TEST(ReceiveHint, HintsLeaveDeliveryOrderAndQueueCountsUnchanged) {
+  // The busiest scene of the order tests above (ties across frames, a
+  // removal mid-flight, a re-entrant transmit, fault-injected drops and
+  // corruptions), run with and without hints.
+  const auto run = [](bool hinted) {
+    auto scene = std::make_unique<Scene>(hinted);
+    Scene& s = *scene;
+    FaultConfig faults;
+    faults.link_loss_probability = 0.3;
+    faults.corrupt_probability = 0.3;
+    s.medium_.set_fault_injector(std::make_unique<FaultInjector>(faults, sim::Rng{42}));
+    s.on_rx_['C'] = [&s] { s.medium_.remove_node(s.id('E')); };
+    s.on_rx_['D'] = [&s] { s.send('D'); };
+    s.send('A');
+    s.send('B');
+    s.events_.run_until(s.t0_ + 10_ms);
+    s.send('C');
+    s.send('F');
+    s.events_.run_until(s.t0_ + 1_s);
+    return scene;
+  };
+  const auto plain = run(false);
+  const auto hinted = run(true);
+  EXPECT_TRUE(plain->hint_frames_.empty());
+  EXPECT_FALSE(hinted->hint_frames_.empty());
+  EXPECT_EQ(hinted->log_, plain->log_);
+  EXPECT_EQ(hinted->counts_, plain->counts_);
+  EXPECT_EQ(hinted->events_.fired_count(), plain->events_.fired_count());
+  EXPECT_EQ(hinted->events_.pending_count(), plain->events_.pending_count());
+  EXPECT_EQ(hinted->medium_.frames_delivered(), plain->medium_.frames_delivered());
 }
 
 TEST(Technology, TableIIRanges) {

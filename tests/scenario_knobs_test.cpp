@@ -108,18 +108,36 @@ TEST(Knobs, EachRejectedValueWarnsOnceNamingItsKnob) {
       {"VGR_RETX_MAX", "4294967296", true},      // an int cast would store 0
       {"VGR_MAC_CW_MAX", "2147483647", true},    // 2*cw+1 would overflow int
       {"VGR_MAC_RETRY", "1000000000", true},     // so would the DCC retry budget
+      // Time knobs past their bound would overflow the nanosecond clock
+      // (or, for the horizon, the result-bin vector).
+      {"VGR_SIM_SECONDS", "1e10", true},
+      {"VGR_RUN_TIMEOUT_S", "1e300", true},
+      {"VGR_SWEEP_TIMEOUT_S", "1e300", true},
+      {"VGR_FAULT_DELAY_MS", "1e12", true},
+      {"VGR_CHURN_DOWNTIME_MS", "1e10", true},
+      {"VGR_MAC_SLOT_US", "8500001", true},      // times a 2^30-slot window
+      {"VGR_MAC_AIFS_US", "1e13", true},
+      {"VGR_DCC_SAMPLE_MS", "1e10", true},
+      {"VGR_RETX_BACKOFF_MS", "8501", true},     // doubled 30 times
       {"VGR_FAULT_DROP", "0.25", false},
       {"VGR_MAC_CW_MAX", "1073741823", false},   // the largest accepted window
+      {"VGR_SIM_SECONDS", "1e6", false},         // the largest accepted horizon
+      {"VGR_MAC_SLOT_US", "8500000", false},
+      {"VGR_RETX_BACKOFF_MS", "8500", false},
   };
   for (const Case& k : cases) {
     SCOPED_TRACE(std::string{k.name} + "=" + k.value);
     ::setenv(k.name, k.value, 1);
     testing::internal::CaptureStderr();
     const HighwayConfig c = from_env();
+    const Fidelity f = Fidelity::from_env();
+    const sweep::SupervisorConfig s = sweep::SupervisorConfig::from_env();
     const std::string err = testing::internal::GetCapturedStderr();
     ::unsetenv(k.name);
 
-    EXPECT_EQ(c == HighwayConfig{}, k.rejected);  // a rejected value changes nothing
+    // A rejected value changes nothing.
+    EXPECT_EQ(c == HighwayConfig{} && f == Fidelity{} && s == sweep::SupervisorConfig{},
+              k.rejected);
     std::istringstream lines{err};
     std::vector<std::string> warnings;
     for (std::string line; std::getline(lines, line);) warnings.push_back(line);
@@ -131,6 +149,40 @@ TEST(Knobs, EachRejectedValueWarnsOnceNamingItsKnob) {
     EXPECT_NE(warnings[0].find(std::string{k.name} + "=\"" + k.value + "\""), std::string::npos)
         << warnings[0];
   }
+}
+
+TEST(Knobs, RunArmsReadsTheListOncePerCallForEveryArm) {
+  // Three arms and one rejected knob: one warning, not one per arm. A knob
+  // set to its default value still overrides an arm's other value, so the
+  // first two arms become one.
+  HighwayConfig quiet;
+  quiet.sim_duration = 2_s;
+  quiet.prefill_spacing_m = 90.0;
+  quiet.entry_spacing_m = 90.0;
+  HighwayConfig lossy = quiet;
+  lossy.faults.drop_probability = 0.5;
+  HighwayConfig attacked = quiet;
+  attacked.attack = AttackKind::kInterArea;
+  Fidelity one_run;
+  one_run.runs = 1;
+  one_run.threads = 1;
+
+  ::setenv("VGR_FAULT_DROP", "0", 1);
+  ::setenv("VGR_MAC_QUEUE", "12x", 1);
+  clear_arm_reuse();
+  testing::internal::CaptureStderr();
+  (void)run_arms({{Experiment::kInterArea, quiet},
+                  {Experiment::kInterArea, lossy},
+                  {Experiment::kInterArea, attacked}},
+                 one_run);
+  const std::string err = testing::internal::GetCapturedStderr();
+  ::unsetenv("VGR_FAULT_DROP");
+  ::unsetenv("VGR_MAC_QUEUE");
+
+  EXPECT_EQ(err, "vgr: ignoring VGR_MAC_QUEUE=\"12x\" (not a number)\n");
+  EXPECT_EQ(arm_reuse_counts().simulated, 2u);
+  EXPECT_EQ(arm_reuse_counts().reused, 1u);
+  clear_arm_reuse();
 }
 
 // --- The lists against the docs and the source ---------------------------
