@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "vgr/scenario/ab_runner.hpp"
 #include "vgr/scenario/csv.hpp"
@@ -45,6 +46,41 @@ inline void print_summary_row(const std::string& setting, const scenario::AbResu
                               const char* rate_symbol) {
   std::printf("  %-28s recv_af=%6.3f  recv_atk=%6.3f  %s=%6.1f%%\n", setting.c_str(),
               r.baseline_reception, r.attacked_reception, rate_symbol, r.attack_rate * 100.0);
+}
+
+/// One column of an accumulated-rate figure (Figs 8 and 10): a row the
+/// bench already ran, under the paper's "range_setting" label ('dflt' =
+/// default settings).
+struct CumulativeColumn {
+  const char* label;
+  scenario::AbResult result;
+};
+
+/// Prints the accumulated `rate` ("interception", "blockage") over time,
+/// 1 - cum_recv_atk(t) / cum_recv_af(t) per bin and column, then each
+/// column's final value.
+inline void print_cumulative(const char* rate, const std::vector<CumulativeColumn>& columns) {
+  const auto accumulated = [](const scenario::AbResult& r, std::size_t bin) {
+    const double af = r.baseline.cumulative(bin);
+    return af > 0.0 ? 1.0 - r.attacked.cumulative(bin) / af : 0.0;
+  };
+  std::printf("\ncumulative %s rate over time:\n  %-8s", rate, "t (s)");
+  for (const auto& c : columns) std::printf(" %-9s", c.label);
+  std::printf("\n");
+  const std::size_t bins = columns.front().result.baseline.bin_count();
+  const double width = columns.front().result.baseline.bin_width().to_seconds();
+  for (std::size_t i = 0; i < bins; ++i) {
+    std::printf("  %-8.0f", (static_cast<double>(i) + 1.0) * width);
+    for (const auto& c : columns) {
+      const double value = accumulated(c.result, i);
+      std::printf(" %-9.3f", value < 0.0 ? 0.0 : value);
+    }
+    std::printf("\n");
+  }
+  std::printf("\nfinal accumulated %s rates:\n", rate);
+  for (const auto& c : columns) {
+    std::printf("  %-10s %.1f%%\n", c.label, accumulated(c.result, bins - 1) * 100.0);
+  }
 }
 
 inline bool verbose() { return std::getenv("VGR_SERIES") != nullptr; }

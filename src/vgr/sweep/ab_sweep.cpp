@@ -48,18 +48,15 @@ std::string shard_key(const std::string& label, Experiment experiment,
   return label + suffix;
 }
 
-SupervisedAb run_ab_supervised(Supervisor& supervisor, Experiment experiment,
-                               const std::string& label, const HighwayConfig& config,
-                               const Fidelity& fidelity) {
-  if (!supervisor.enabled()) {
-    return SupervisedAb{scenario::run_ab(experiment, config, fidelity), 1, 0};
-  }
+AbResult run_ab_supervised(Supervisor& supervisor, Experiment experiment,
+                           const std::string& label, const HighwayConfig& config,
+                           const Fidelity& fidelity) {
+  if (!supervisor.enabled()) return scenario::run_ab(experiment, config, fidelity);
 
   const std::uint64_t total_runs = fidelity.runs;
   std::uint64_t chunk = supervisor.config().seed_chunk;
   if (chunk == 0 || chunk > total_runs) chunk = total_runs;
 
-  SupervisedAb out{empty_point(config, fidelity), 0, 0};
   std::vector<std::string> payloads;
   for (std::uint64_t first = 0; first < total_runs; first += chunk) {
     const std::uint64_t shard_runs = std::min(chunk, total_runs - first);
@@ -67,15 +64,12 @@ SupervisedAb run_ab_supervised(Supervisor& supervisor, Experiment experiment,
     spec.first_run = fidelity.first_run + first;
     spec.runs = shard_runs;
     spec.key = shard_key(label, experiment, fidelity, spec.first_run, shard_runs);
-    ++out.shards;
 
     auto payload = supervisor.run_shard(
         spec, [&](const ShardSpec& s, const ShardEffort& effort) {
           Fidelity f = fidelity;
           f.first_run = s.first_run;
           f.runs = effort.runs;
-          if (effort.run_max_events > 0) f.run_max_events = effort.run_max_events;
-          if (effort.run_wall_budget_s > 0.0) f.run_wall_budget_s = effort.run_wall_budget_s;
           const AbResult r = scenario::run_ab(experiment, config, f);
           ShardOutcome outcome;
           outcome.payload = encode_ab(r);
@@ -83,24 +77,15 @@ SupervisedAb run_ab_supervised(Supervisor& supervisor, Experiment experiment,
           outcome.timed_out_wall = r.timed_out_wall;
           return outcome;
         });
-    if (payload.has_value()) {
-      payloads.push_back(std::move(*payload));
-    } else {
-      ++out.missing;
-    }
+    if (payload.has_value()) payloads.push_back(std::move(*payload));
   }
 
-  if (!payloads.empty()) {
-    if (auto merged = merge_ab_payloads(payloads); merged.has_value()) {
-      out.result = std::move(*merged);
-    } else {
-      // A payload that decodes badly is as good as missing; keep the zeros.
-      std::fprintf(stderr, "[sweep] point %s: undecodable journal payload, dropping\n",
-                   label.c_str());
-      out.missing = out.shards;
-    }
-  }
-  return out;
+  if (payloads.empty()) return empty_point(config, fidelity);
+  if (auto merged = merge_ab_payloads(payloads); merged.has_value()) return std::move(*merged);
+  // A payload that decodes badly is as good as missing; keep the zeros.
+  std::fprintf(stderr, "[sweep] point %s: undecodable journal payload, dropping\n",
+               label.c_str());
+  return empty_point(config, fidelity);
 }
 
 }  // namespace vgr::sweep

@@ -11,18 +11,6 @@ namespace vgr::sweep {
 /// Which paired experiment a sweep point runs.
 using Experiment = scenario::Experiment;
 
-/// A supervised sweep point: the merged A/B result plus how much of the
-/// point actually materialized. `missing` counts shards that produced no
-/// payload (quarantined now or in the journal, or skipped by a drain);
-/// when every shard is missing `result` is an all-zero timeline.
-struct SupervisedAb {
-  scenario::AbResult result;
-  std::uint64_t shards{0};
-  std::uint64_t missing{0};
-
-  [[nodiscard]] bool complete() const { return missing == 0; }
-};
-
 /// Stable journal key for one seed-range shard of a labelled sweep point.
 /// The label carries the human-readable point identity ("loss-0.050-plain");
 /// the suffix pins the seed range and an fnv1a-64 fingerprint of the
@@ -37,10 +25,13 @@ std::string shard_key(const std::string& label, Experiment experiment,
 /// byte-identical output. Enabled, the point's seed range is cut into
 /// `seed_chunk`-sized shards (0 = one shard), each shard goes through the
 /// supervisor's journal/retry/degrade ladder, and the shard payloads are
-/// merged back into one AbResult.
-SupervisedAb run_ab_supervised(Supervisor& supervisor, Experiment experiment,
-                               const std::string& label,
-                               const scenario::HighwayConfig& config,
-                               const scenario::Fidelity& fidelity);
+/// merged back into one AbResult. Shards that produce no payload
+/// (quarantined, now or in the journal, or skipped by a drain) are left
+/// out of the merge and show in the supervisor's counters; when none
+/// produces one the result is an all-zero timeline.
+scenario::AbResult run_ab_supervised(Supervisor& supervisor, Experiment experiment,
+                                     const std::string& label,
+                                     const scenario::HighwayConfig& config,
+                                     const scenario::Fidelity& fidelity);
 
 }  // namespace vgr::sweep

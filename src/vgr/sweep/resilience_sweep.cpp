@@ -40,7 +40,7 @@ Row run_point(Supervisor& sup, const HighwayConfig& cfg, const Fidelity& fidelit
   const std::string label = point_label(axis.c_str(), level);
 
   const AbResult plain =
-      run_ab_supervised(sup, Experiment::kInterArea, label + "-plain", cfg, fidelity).result;
+      run_ab_supervised(sup, Experiment::kInterArea, label + "-plain", cfg, fidelity);
   row.recv_baseline = plain.baseline_reception;
   row.recv_attacked = plain.attacked_reception;
   row.gamma = plain.attack_rate;
@@ -48,8 +48,7 @@ Row run_point(Supervisor& sup, const HighwayConfig& cfg, const Fidelity& fidelit
   HighwayConfig mitigated = cfg;
   mitigated.mitigation = mitigation::Profile::kFull;
   const AbResult guarded =
-      run_ab_supervised(sup, Experiment::kInterArea, label + "-mitigated", mitigated, fidelity)
-          .result;
+      run_ab_supervised(sup, Experiment::kInterArea, label + "-mitigated", mitigated, fidelity);
   row.recv_mitigated = guarded.attacked_reception;
   row.gamma_mitigated = guarded.attack_rate;
 
@@ -58,8 +57,7 @@ Row run_point(Supervisor& sup, const HighwayConfig& cfg, const Fidelity& fidelit
   recovered.recovery.retx = true;
   recovered.recovery.nbr_monitor = true;
   const AbResult healed =
-      run_ab_supervised(sup, Experiment::kInterArea, label + "-recovered", recovered, fidelity)
-          .result;
+      run_ab_supervised(sup, Experiment::kInterArea, label + "-recovered", recovered, fidelity);
   row.recv_recovered = healed.baseline_reception;
   row.gamma_recovered = healed.attack_rate;
 
@@ -108,7 +106,7 @@ CongestionRow run_congestion_point(Supervisor& sup, const HighwayConfig& base,
 
   cfg.dcc.enabled = false;
   const AbResult off =
-      run_ab_supervised(sup, Experiment::kInterArea, label + "-dccoff", cfg, fidelity).result;
+      run_ab_supervised(sup, Experiment::kInterArea, label + "-dccoff", cfg, fidelity);
   row.recv_off = off.attacked_reception;
   row.retry_off = off.attacked_totals.mac.retry_exhausted_drops;
   row.overflow_off = off.attacked_totals.mac.queue_overflow_drops;
@@ -116,7 +114,7 @@ CongestionRow run_congestion_point(Supervisor& sup, const HighwayConfig& base,
 
   cfg.dcc.enabled = true;
   const AbResult on =
-      run_ab_supervised(sup, Experiment::kInterArea, label + "-dccon", cfg, fidelity).result;
+      run_ab_supervised(sup, Experiment::kInterArea, label + "-dccon", cfg, fidelity);
   row.recv_on = on.attacked_reception;
   row.retry_on = on.attacked_totals.mac.retry_exhausted_drops;
   row.overflow_on = on.attacked_totals.mac.queue_overflow_drops;

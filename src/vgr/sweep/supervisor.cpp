@@ -91,18 +91,6 @@ std::optional<std::string> Supervisor::run_shard(const ShardSpec& spec, const Sh
 
   ShardEffort effort;
   effort.runs = spec.runs;
-  effort.run_max_events = config_.run_max_events;
-  effort.run_wall_budget_s = config_.run_wall_budget_s;
-
-  if (!config_.enabled) {
-    // Transparent mode: one attempt, full fidelity, results used verbatim
-    // whatever their watchdog counters say (the unsupervised contract).
-    const ShardOutcome outcome = fn(spec, effort);
-    counters_.timed_out_events += outcome.timed_out_events;
-    counters_.timed_out_wall += outcome.timed_out_wall;
-    ++counters_.completed;
-    return outcome.payload;
-  }
 
   if (journal_.has_value()) {
     if (const JournalRecord* rec = journal_->find(spec.key); rec != nullptr) {
@@ -148,7 +136,7 @@ std::optional<std::string> Supervisor::run_shard(const ShardSpec& spec, const Sh
   }
 
   // Retries exhausted at full fidelity: one degraded attempt with half the
-  // runs and half the event budget before giving up on the shard.
+  // runs before giving up on the shard.
   if (drain_requested()) {
     ++counters_.drained;
     return std::nullopt;
@@ -157,9 +145,6 @@ std::optional<std::string> Supervisor::run_shard(const ShardSpec& spec, const Sh
   ShardEffort degraded = effort;
   degraded.degraded = true;
   degraded.runs = effort.runs > 1 ? effort.runs / 2 : 1;
-  if (effort.run_max_events > 0) {
-    degraded.run_max_events = effort.run_max_events / 2 + 1;
-  }
   ++counters_.degraded;
   ++attempts;
   try {

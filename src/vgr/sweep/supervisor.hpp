@@ -21,12 +21,12 @@ struct ShardSpec {
 };
 
 /// Execution budget the supervisor hands to a shard attempt. The degraded
-/// rung halves `runs` (min 1) and the event budget so a shard that cannot
-/// finish at full fidelity can still contribute a flagged partial result.
+/// rung halves `runs` (min 1) so a shard that cannot finish at full
+/// fidelity can still contribute a flagged partial result. The per-run
+/// watchdog budgets are the shard function's own (`Fidelity`'s
+/// VGR_RUN_MAX_EVENTS / VGR_RUN_TIMEOUT_S): every rung runs under them.
 struct ShardEffort {
   std::uint64_t runs{1};
-  std::uint64_t run_max_events{0};   ///< per-run event watchdog; 0 = off
-  double run_wall_budget_s{0.0};     ///< per-run wall watchdog; 0 = off
   bool degraded{false};
 };
 
@@ -53,8 +53,6 @@ struct SupervisorConfig {
   bool resume{false};                         ///< journaled shards are not re-run
   std::uint64_t max_retries{2};               ///< full-fidelity retries per shard
   double backoff_ms{50.0};                    ///< base retry backoff, doubled per retry
-  std::uint64_t run_max_events{0};            ///< per-run event watchdog (0 = off)
-  double run_wall_budget_s{0.0};              ///< per-run wall watchdog (0 = off)
   std::uint64_t seed_chunk{0};                ///< seeds per shard (0 = one per point)
   /// Crash-test hook: raise(SIGKILL) after this many journal appends
   /// (< 0 = disabled).
@@ -74,9 +72,6 @@ constexpr void for_each_knob(Fn&& fn, SupervisorConfig& c) {
   fn("VGR_SWEEP_RESUME", c.resume, sim::kFlag);
   fn("VGR_SWEEP_RETRIES", c.max_retries, sim::kNonNegative);
   fn("VGR_SWEEP_BACKOFF_MS", c.backoff_ms, sim::kNonNegative);
-  fn("VGR_SWEEP_MAX_EVENTS", c.run_max_events, sim::kNonNegative);
-  fn("VGR_SWEEP_TIMEOUT_S", c.run_wall_budget_s,
-     sim::Range{.lo = 0.0, .hi = sim::kMaxKnobSeconds});
   fn("VGR_SWEEP_SEED_CHUNK", c.seed_chunk, sim::kNonNegative);
   fn("VGR_SWEEP_FAULT_AFTER", c.fault_after_appends, sim::Range{});
 }
@@ -99,6 +94,8 @@ struct SweepCounters {
   [[nodiscard]] std::uint64_t quarantined() const {
     return quarantined_events + quarantined_wall + quarantined_error;
   }
+
+  friend bool operator==(const SweepCounters&, const SweepCounters&) = default;
 };
 
 /// Crash-resilient sweep executor: journals every finished shard (fsync'd,
@@ -107,9 +104,10 @@ struct SweepCounters {
 /// quarantines shards that fail even degraded — all while SIGINT/SIGTERM
 /// request a graceful drain instead of killing the study mid-shard.
 ///
-/// With `config.enabled == false` the supervisor is transparent: run_shard
-/// executes the shard function once, full fidelity, no journal, no signal
-/// handlers — the unsupervised benches stay byte-identical.
+/// With `config.enabled == false` the supervisor opens no journal and
+/// installs no signal handlers; callers then run unsupervised and never
+/// reach run_shard (run_ab_supervised is exactly run_ab), so its counters
+/// stay zero.
 class Supervisor {
  public:
   using ShardFn = std::function<ShardOutcome(const ShardSpec&, const ShardEffort&)>;

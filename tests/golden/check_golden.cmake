@@ -2,12 +2,15 @@
 # compares its stdout with a committed golden file.
 #
 #   cmake -DBENCH=<bench binary> -DGOLDEN=<golden .txt> -DTHREADS=<n> \
-#         -DACTUAL=<where to write the output on mismatch> -P check_golden.cmake
+#         -DACTUAL=<where to write the output on mismatch> \
+#         [-DEXTRA_ENV=<VAR=value;...>] [-DREMOVE=<file>] -P check_golden.cmake
 #
 # The `fidelity:` banner line is skipped on both sides: it is the only line
 # that names the thread count, and every other byte must match at any
 # VGR_THREADS. Every other VGR_* variable is cleared first so no knob in the
-# caller's environment can change the run.
+# caller's environment can change the run; EXTRA_ENV then sets the listed ones
+# (a supervised run's VGR_SWEEP_*), and REMOVE deletes a file left by an
+# earlier run (a sweep journal) before this one starts.
 #
 # To regenerate after an intended output change, run the bench by hand with
 # VGR_RUNS=2 VGR_SIM_SECONDS=10 VGR_THREADS=1, write its stdout over the
@@ -28,6 +31,15 @@ endforeach()
 set(ENV{VGR_RUNS} 2)
 set(ENV{VGR_SIM_SECONDS} 10)
 set(ENV{VGR_THREADS} ${THREADS})
+foreach(entry IN LISTS EXTRA_ENV)
+  if(NOT entry MATCHES "^([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
+    message(FATAL_ERROR "check_golden.cmake: EXTRA_ENV entry '${entry}' is not VAR=value")
+  endif()
+  set(ENV{${CMAKE_MATCH_1}} "${CMAKE_MATCH_2}")
+endforeach()
+if(REMOVE)
+  file(REMOVE ${REMOVE})
+endif()
 
 execute_process(COMMAND ${BENCH} OUTPUT_VARIABLE actual RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

@@ -112,7 +112,6 @@ TEST(Knobs, EachRejectedValueWarnsOnceNamingItsKnob) {
       // (or, for the horizon, the result-bin vector).
       {"VGR_SIM_SECONDS", "1e10", true},
       {"VGR_RUN_TIMEOUT_S", "1e300", true},
-      {"VGR_SWEEP_TIMEOUT_S", "1e300", true},
       {"VGR_FAULT_DELAY_MS", "1e12", true},
       {"VGR_CHURN_DOWNTIME_MS", "1e10", true},
       {"VGR_MAC_SLOT_US", "8500001", true},      // times a 2^30-slot window

@@ -5,7 +5,8 @@
 // health block, which legitimately differs). Covered at VGR_THREADS=1 and 4
 // because the determinism contract must hold under run-level parallelism.
 // The uninterrupted artifact must also match tests/golden/sweep.json up to
-// the same key, which pins the journaled counters and the shard merge.
+// the same key, which pins the journaled counters and the shard merge. A
+// point list the study cannot run is refused before any journal exists.
 //
 // The binary and golden paths are injected at configure time (VGR_SWEEP_BIN
 // and VGR_SWEEP_GOLDEN, see tests/CMakeLists.txt).
@@ -20,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -66,43 +68,49 @@ void clear_vgr_env() {
   for (const std::string& name : names) ::unsetenv(name.c_str());
 }
 
-/// Forks and execs vgr_sweep <mode> on a tiny study: two loss points and one
-/// MAC/DCC congestion point, so the MAC, CBR and flood counters are non-zero.
-/// `threads` becomes VGR_THREADS; `fault_after` (>= 0) arms the SIGKILL
-/// fault hook. Returns the raw waitpid status.
-int run_sweep(const char* mode, const SweepFiles& files, int threads, int fault_after) {
+/// Forks and execs vgr_sweep with `args` in a cleared VGR_* environment plus
+/// `env` (name, value pairs), its stdout discarded; returns the raw waitpid
+/// status.
+int exec_sweep(const std::vector<std::string>& args,
+               const std::vector<std::pair<std::string, std::string>>& env) {
   const pid_t pid = ::fork();
   if (pid < 0) {
     ADD_FAILURE() << "fork failed";
     return -1;
   }
   if (pid == 0) {
-    // Child: tiny but non-trivial fidelity — 2 runs x 2 simulated seconds,
-    // one seed per shard so the kill lands between journal appends.
     clear_vgr_env();
-    ::setenv("VGR_RUNS", "2", 1);
-    ::setenv("VGR_SIM_SECONDS", "2", 1);
-    ::setenv("VGR_THREADS", std::to_string(threads).c_str(), 1);
-    ::setenv("VGR_SWEEP_SEED_CHUNK", "1", 1);
-    ::setenv("VGR_SWEEP_BACKOFF_MS", "0", 1);
-    if (fault_after >= 0) {
-      ::setenv("VGR_SWEEP_FAULT_AFTER", std::to_string(fault_after).c_str(), 1);
-    }
+    for (const auto& [name, value] : env) ::setenv(name.c_str(), value.c_str(), 1);
     // The bench narrates progress on stdout; keep the test log readable.
     std::freopen("/dev/null", "w", stdout);
-    const char* const argv[] = {"vgr_sweep", mode,
-                                "--journal", files.journal.c_str(),
-                                "--out", files.out.c_str(),
-                                "--loss", "0,0.4",
-                                "--churn", "none",
-                                "--flood", "4500",
-                                nullptr};
-    ::execv(VGR_SWEEP_BIN, const_cast<char* const*>(argv));
+    std::vector<char*> argv{const_cast<char*>("vgr_sweep")};
+    for (const std::string& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
+    argv.push_back(nullptr);
+    ::execv(VGR_SWEEP_BIN, argv.data());
     std::_Exit(127);  // exec failed
   }
   int status = 0;
   EXPECT_EQ(::waitpid(pid, &status, 0), pid);
   return status;
+}
+
+/// Runs vgr_sweep <mode> on a tiny study: two loss points and one MAC/DCC
+/// congestion point, so the MAC, CBR and flood counters are non-zero.
+/// `threads` becomes VGR_THREADS; `fault_after` (>= 0) arms the SIGKILL
+/// fault hook. Returns the raw waitpid status.
+int run_sweep(const char* mode, const SweepFiles& files, int threads, int fault_after) {
+  // Tiny but non-trivial fidelity — 2 runs x 2 simulated seconds, one seed
+  // per shard so the kill lands between journal appends.
+  std::vector<std::pair<std::string, std::string>> env{
+      {"VGR_RUNS", "2"},
+      {"VGR_SIM_SECONDS", "2"},
+      {"VGR_THREADS", std::to_string(threads)},
+      {"VGR_SWEEP_SEED_CHUNK", "1"},
+      {"VGR_SWEEP_BACKOFF_MS", "0"}};
+  if (fault_after >= 0) env.emplace_back("VGR_SWEEP_FAULT_AFTER", std::to_string(fault_after));
+  return exec_sweep({mode, "--journal", files.journal, "--out", files.out, "--loss", "0,0.4",
+                     "--churn", "none", "--flood", "4500"},
+                    env);
 }
 
 /// One full kill-and-resume cycle at the given thread count; returns the
@@ -154,6 +162,34 @@ TEST(SweepKillResume, ResumedSweepMatchesUninterruptedRun) {
   // regenerate it after an intended change).
   EXPECT_EQ(result_prefix(serial), result_prefix(slurp(VGR_SWEEP_GOLDEN)))
       << "sweep results differ from " << VGR_SWEEP_GOLDEN;
+}
+
+TEST(SweepKillResume, PointOutsideItsAxisRangeExitsWithUsageAndNoJournal) {
+  // Each list holds one value the study cannot run: a loss outside [0, 1],
+  // a negative churn or flood rate, a non-finite value, or a flood rate
+  // whose tick rounds to 0 ns and would stop simulated time. The event
+  // budget bounds how long a build that accepted one would take to fail.
+  const std::pair<const char*, const char*> bad_lists[] = {
+      {"--loss", "2"},      {"--loss", "0,-0.1"}, {"--loss", "nan"},
+      {"--churn", "-1"},    {"--churn", "inf"},   {"--flood", "-5"},
+      {"--flood", "1e10"},
+  };
+  for (const auto& [axis, list] : bad_lists) {
+    SCOPED_TRACE(std::string{axis} + " " + list);
+    const SweepFiles files{temp_file("bad_j"), temp_file("bad_o")};
+    cleanup(files);
+    std::vector<std::string> args{"run", "--journal", files.journal, "--out", files.out,
+                                  "--loss", "none", "--churn", "none", "--flood", "none"};
+    args.emplace_back(axis);  // a repeated flag overrides the earlier one
+    args.emplace_back(list);
+    const int status =
+        exec_sweep(args, {{"VGR_RUNS", "1"}, {"VGR_SIM_SECONDS", "1"},
+                          {"VGR_RUN_MAX_EVENTS", "20000"}, {"VGR_SWEEP_BACKOFF_MS", "0"}});
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2) << "status " << status;
+    EXPECT_FALSE(std::filesystem::exists(files.journal));
+    EXPECT_FALSE(std::filesystem::exists(files.out));
+    cleanup(files);
+  }
 }
 
 }  // namespace

@@ -59,23 +59,24 @@ Fidelity small_fidelity(std::uint64_t runs = 3) {
 }
 
 TEST(Supervisor, DisabledModeRunsOnceAndKeepsDirtyResults) {
+  // Off, the supervisor is not consulted: the point is one run_ab call whose
+  // watchdog-tripped runs are kept as they are, with no retry or degrade,
+  // and no counter moves.
+  HighwayConfig cfg;
+  cfg.attack = scenario::AttackKind::kInterArea;
+  Fidelity f = small_fidelity(/*runs=*/2);
+  f.run_max_events = 50;  // every run trips the breaker
+  const AbResult direct = scenario::run_ab(Experiment::kInterArea, cfg, f);
+  ASSERT_EQ(direct.timed_out_runs, f.runs);
+
+  scenario::clear_arm_reuse();
   Supervisor sup{SupervisorConfig{}};  // enabled = false
   ASSERT_TRUE(sup.ok());
-  int calls = 0;
-  auto payload = sup.run_shard(spec_named("s"), [&](const ShardSpec&, const ShardEffort& e) {
-    ++calls;
-    EXPECT_FALSE(e.degraded);
-    ShardOutcome o;
-    o.payload = "{\"v\":1}";
-    o.timed_out_events = 2;  // dirty — but transparent mode never retries
-    return o;
-  });
-  ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(*payload, "{\"v\":1}");
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(sup.counters().completed, 1u);
-  EXPECT_EQ(sup.counters().retries, 0u);
-  EXPECT_EQ(sup.counters().timed_out_events, 2u);
+  const AbResult off = run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
+  EXPECT_EQ(scenario::arm_reuse_counts().simulated, 2 * f.runs);
+  EXPECT_EQ(off, direct);
+  EXPECT_EQ(sup.counters(), SweepCounters{});
+  EXPECT_EQ(sup.journal(), nullptr);
 }
 
 TEST(Supervisor, CleanShardJournalsOnFirstAttempt) {
@@ -386,13 +387,12 @@ TEST(AbSweep, SupervisedSingleChunkMatchesDirectRunExactly) {
   scenario::clear_arm_reuse();
   Supervisor sup{test_config(journal)};
   ASSERT_TRUE(sup.ok());
-  const SupervisedAb supervised =
-      run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
+  const AbResult supervised = run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
   EXPECT_EQ(scenario::arm_reuse_counts().simulated, 2 * f.runs);
   EXPECT_EQ(scenario::arm_reuse_counts().reused, 0u);
-  EXPECT_TRUE(supervised.complete());
-  EXPECT_EQ(supervised.shards, 1u);
-  EXPECT_EQ(direct, supervised.result);
+  EXPECT_EQ(sup.counters().shards, 1u);
+  EXPECT_EQ(sup.counters().completed, 1u);
+  EXPECT_EQ(direct, supervised);
   cleanup(journal);
 }
 
@@ -408,13 +408,12 @@ TEST(AbSweep, SeedChunkedShardsMergeToTheMonolithicResult) {
   config.seed_chunk = 1;  // one seed per shard
   Supervisor sup{config};
   ASSERT_TRUE(sup.ok());
-  const SupervisedAb supervised =
-      run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
-  EXPECT_EQ(supervised.shards, 4u);
-  EXPECT_TRUE(supervised.complete());
+  const AbResult supervised = run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
+  EXPECT_EQ(sup.counters().shards, 4u);
+  EXPECT_EQ(sup.counters().completed, 4u);
   // Bin accumulators are sums of per-run integer counts, so the chunked
   // merge is exact, not merely close.
-  EXPECT_EQ(direct, supervised.result);
+  EXPECT_EQ(direct, supervised);
   cleanup(journal);
 }
 
@@ -423,16 +422,18 @@ TEST(AbSweep, PoisonedPointIsQuarantinedWhileOthersComplete) {
   cleanup(journal);
   SupervisorConfig config = test_config(journal);
   config.max_retries = 1;
-  config.run_max_events = 50;  // unsatisfiable: every run trips the breaker
   Supervisor sup{config};
   ASSERT_TRUE(sup.ok());
 
   HighwayConfig cfg;
   cfg.attack = scenario::AttackKind::kInterArea;
   const Fidelity f = small_fidelity(/*runs=*/2);
-  const SupervisedAb poisoned =
-      run_ab_supervised(sup, Experiment::kInterArea, "poisoned-pt", cfg, f);
-  EXPECT_FALSE(poisoned.complete());
+  Fidelity unsatisfiable = f;
+  unsatisfiable.run_max_events = 50;  // every run trips the breaker
+  const AbResult poisoned =
+      run_ab_supervised(sup, Experiment::kInterArea, "poisoned-pt", cfg, unsatisfiable);
+  EXPECT_EQ(poisoned.baseline_reception, 0.0);  // no shard: the all-zero point
+  EXPECT_EQ(sup.counters().completed, 0u);
   EXPECT_EQ(sup.counters().quarantined_events, 1u);
   EXPECT_GT(sup.counters().timed_out_events, 0u);
 
@@ -441,14 +442,47 @@ TEST(AbSweep, PoisonedPointIsQuarantinedWhileOthersComplete) {
   healthy.resume = true;
   Supervisor sup2{healthy};
   ASSERT_TRUE(sup2.ok());
-  const SupervisedAb good =
-      run_ab_supervised(sup2, Experiment::kInterArea, "good-pt", cfg, f);
-  EXPECT_TRUE(good.complete());
-  EXPECT_GT(good.result.baseline_reception, 0.0);
+  const AbResult good = run_ab_supervised(sup2, Experiment::kInterArea, "good-pt", cfg, f);
+  EXPECT_EQ(sup2.counters().completed, 1u);
+  EXPECT_EQ(sup2.counters().quarantined(), 0u);
+  EXPECT_GT(good.baseline_reception, 0.0);
   const auto records = Journal::scan(journal);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].status, "quarantined");
   EXPECT_EQ(records[1].status, "done");
+  cleanup(journal);
+}
+
+TEST(AbSweep, ShardWhoseSecondSeedTripsIsJournaledDegradedToItsFirstSeed) {
+  // The fidelity's own event budget caps every rung. Seed 1's arms finish
+  // within it and one of seed 2's does not, so every full attempt trips and
+  // the degraded rung (half the runs: seed 1 alone) rescues the point.
+  constexpr std::uint64_t kBudget = 12000;
+  const std::string journal = temp_journal("degraded");
+  cleanup(journal);
+  HighwayConfig cfg;
+  cfg.attack = scenario::AttackKind::kInterArea;
+  Fidelity f = small_fidelity(/*runs=*/2);
+  f.run_max_events = kBudget;
+  Fidelity first_seed = f;
+  first_seed.runs = 1;
+  const AbResult one_seed = scenario::run_ab(Experiment::kInterArea, cfg, first_seed);
+  ASSERT_EQ(one_seed.timed_out_runs, 0u) << "seed 1 must fit the budget";
+  ASSERT_GT(scenario::run_ab(Experiment::kInterArea, cfg, f).timed_out_events, 0u)
+      << "seed 2 must trip the budget";
+
+  Supervisor sup{test_config(journal)};
+  ASSERT_TRUE(sup.ok());
+  const AbResult rescued = run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
+  EXPECT_EQ(rescued, one_seed);
+  EXPECT_EQ(sup.counters().completed, 1u);
+  EXPECT_EQ(sup.counters().degraded, 1u);
+  EXPECT_EQ(sup.counters().quarantined(), 0u);
+  const auto records = Journal::scan(journal);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].status, "done");
+  EXPECT_EQ(records[0].fidelity, "degraded");
+  EXPECT_EQ(records[0].cause, "events");
   cleanup(journal);
 }
 

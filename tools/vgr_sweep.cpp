@@ -10,10 +10,12 @@
 // continues a killed or drained study, re-using every journaled shard and
 // executing only the missing ones; `status` decodes the journal read-only
 // and summarizes progress. Point lists are comma-separated values, or
-// "none" to skip an axis (defaults reproduce bench_resilience). Fidelity
+// "none" to skip an axis (defaults reproduce bench_resilience); a value
+// outside its axis's range exits 2 before anything runs. Fidelity
 // comes from the usual VGR_RUNS / VGR_SIM_SECONDS / VGR_THREADS knobs and
 // supervision from VGR_SWEEP_* (the CLI forces VGR_SWEEP on).
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,23 +28,32 @@ namespace {
 
 using namespace vgr;
 
+/// Largest accepted --flood rate. The flood tick is Duration::seconds(1 /
+/// rate), which reaches 0 ns above 1e9 Hz and stops simulated time; the
+/// flooder already saturates the channel below 5 kHz, so 20x that is room
+/// enough for any study.
+constexpr double kMaxFloodHz = 1e5;
+
 int usage() {
   std::fprintf(stderr,
                "usage: vgr_sweep <run|resume|status> [--journal PATH] [--out PATH]\n"
                "                 [--loss v,v,...|none] [--churn v,v,...|none]\n"
-               "                 [--flood v,v,...|none]\n");
+               "                 [--flood v,v,...|none]\n"
+               "  loss in [0, 1], churn >= 0 (crashes/s), flood in [0, %.0f] (Hz)\n",
+               kMaxFloodHz);
   return 2;
 }
 
-/// Parses "0,0.05,0.4" (or "none" -> empty); false on malformed input.
-bool parse_levels(const char* arg, std::vector<double>& out) {
+/// Parses "0,0.05,0.4" (or "none" -> empty); false on malformed input or a
+/// value that is not finite or lies outside [lo, hi].
+bool parse_levels(const char* arg, double lo, double hi, std::vector<double>& out) {
   out.clear();
   if (std::strcmp(arg, "none") == 0) return true;
   const char* p = arg;
   while (*p != '\0') {
     char* end = nullptr;
     const double v = std::strtod(p, &end);
-    if (end == p) return false;
+    if (end == p || !std::isfinite(v) || v < lo || v > hi) return false;
     out.push_back(v);
     p = end;
     if (*p == ',') ++p;
@@ -101,12 +112,12 @@ int main(int argc, char** argv) {
       config.journal_path = value;
     } else if (flag == "--out") {
       out_path = value;
-    } else if (flag == "--loss") {
-      if (!parse_levels(value, selection.loss)) return usage();
-    } else if (flag == "--churn") {
-      if (!parse_levels(value, selection.churn)) return usage();
+    } else if (flag == "--loss") {  // drop probability
+      if (!parse_levels(value, 0.0, 1.0, selection.loss)) return usage();
+    } else if (flag == "--churn") {  // crashes per second
+      if (!parse_levels(value, 0.0, HUGE_VAL, selection.churn)) return usage();
     } else if (flag == "--flood") {
-      if (!parse_levels(value, selection.flood)) return usage();
+      if (!parse_levels(value, 0.0, kMaxFloodHz, selection.flood)) return usage();
     } else {
       return usage();
     }
