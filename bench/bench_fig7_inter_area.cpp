@@ -72,6 +72,7 @@ std::vector<AbResult> subfigure_ab(phy::AccessTechnology tech, const char* name,
 int main() {
   const Fidelity fidelity = Fidelity::from_env(3);
   bench::banner("Figure 7", "inter-area interception attack effectiveness", fidelity);
+  if (!supervisor().ok()) return 1;  // the journal could not be opened or was refused
 
   const std::vector<AbResult> dsrc = subfigure_ab(phy::AccessTechnology::kDsrc, "a", fidelity);
   subfigure_ab(phy::AccessTechnology::kCv2x, "b", fidelity);

@@ -82,13 +82,29 @@ Arm memo_key(Arm arm, const Fidelity& fidelity, const RunKnobs& knobs) {
   return arm;
 }
 
-/// The calling thread's arm memo: every distinct arm of one seed window and
-/// the result of each of its runs (slot i is seed first_run + i + 1).
+/// The calling thread's arm memo: every distinct arm it has run and the
+/// result of each of its runs over the seeds it holds, first_run+1 ..
+/// first_run+runs (slot i is seed first_run + i + 1).
 struct ArmMemo {
   struct Entry {
     Arm key;
     ArmRuns runs;
     std::vector<bool> kept;  ///< slot i may serve a later call
+
+    /// `size` slots, the held ones moved `front` slots up.
+    void widen(std::size_t front, std::size_t size) {
+      const auto widen_slots = [front, size](auto& slots) {
+        std::remove_reference_t<decltype(slots)> wider(size);
+        std::move(slots.begin(), slots.end(), wider.begin() + static_cast<std::ptrdiff_t>(front));
+        slots.swap(wider);
+      };
+      if (key.experiment == Experiment::kInterArea) {
+        widen_slots(runs.inter);
+      } else {
+        widen_slots(runs.intra);
+      }
+      widen_slots(kept);
+    }
   };
 
   std::uint64_t first_run{0};
@@ -96,17 +112,27 @@ struct ArmMemo {
   std::vector<Entry> entries;
   ArmReuseCounts counts{};
 
+  /// Makes the held seeds cover `f`'s window: their union with it when the
+  /// two share a seed, else the window alone, the memo started afresh.
+  void cover(const Fidelity& f) {
+    const std::uint64_t lo = std::min(first_run, f.first_run);
+    const std::uint64_t hi = std::max(first_run + runs, f.first_run + f.runs);
+    if (hi - lo >= runs + f.runs) {  // no seed in common
+      *this = ArmMemo{f.first_run, f.runs, {}, counts};
+    } else if (hi - lo > runs) {
+      for (Entry& entry : entries) entry.widen(first_run - lo, hi - lo);
+      first_run = lo;
+      runs = hi - lo;
+    }
+  }
+
   /// Index of `key`'s entry, added with empty slots on first sight.
   std::size_t find_or_add(const Arm& key) {
     for (std::size_t i = 0; i < entries.size(); ++i) {
       if (entries[i].key == key) return i;
     }
-    Entry& entry = entries.emplace_back(Entry{key, {}, std::vector<bool>(runs)});
-    if (key.experiment == Experiment::kInterArea) {
-      entry.runs.inter.resize(runs);
-    } else {
-      entry.runs.intra.resize(runs);
-    }
+    entries.push_back(Entry{key, {}, {}});
+    entries.back().widen(0, runs);
     return entries.size() - 1;
   }
 };
@@ -147,11 +173,8 @@ AbResult pair_result(const Result& base, const Result& atk) {
 
 std::vector<ArmRuns> run_arms(const std::vector<Arm>& arms, const Fidelity& fidelity) {
   ArmMemo& memo = t_memo;
-  if (memo.first_run != fidelity.first_run || memo.runs != fidelity.runs) {
-    memo.entries.clear();
-    memo.first_run = fidelity.first_run;
-    memo.runs = fidelity.runs;
-  }
+  memo.cover(fidelity);
+  const std::size_t offset = fidelity.first_run - memo.first_run;
   const RunKnobs knobs;
   std::vector<std::size_t> entry;
   for (const Arm& arm : arms) entry.push_back(memo.find_or_add(memo_key(arm, fidelity, knobs)));
@@ -163,7 +186,7 @@ std::vector<ArmRuns> run_arms(const std::vector<Arm>& arms, const Fidelity& fide
     if (std::find(wanted.begin(), wanted.end(), e) == wanted.end()) wanted.push_back(e);
   }
   std::vector<std::pair<std::size_t, std::size_t>> missing;
-  for (std::size_t run = 0; run < memo.runs; ++run) {
+  for (std::size_t run = offset; run < offset + fidelity.runs; ++run) {
     for (const std::size_t e : wanted) {
       if (!memo.entries[e].kept[run]) missing.emplace_back(e, run);
     }
@@ -177,7 +200,7 @@ std::vector<ArmRuns> run_arms(const std::vector<Arm>& arms, const Fidelity& fide
       const auto [e, run] = missing[i];
       ArmMemo::Entry& slot = memo.entries[e];
       HighwayConfig config = slot.key.config;
-      config.seed = fidelity.first_run + run + 1;
+      config.seed = memo.first_run + run + 1;
       HighwayScenario world{config};
       if (slot.key.experiment == Experiment::kInterArea) {
         slot.runs.inter[run] = world.run_inter_area();
@@ -196,10 +219,19 @@ std::vector<ArmRuns> run_arms(const std::vector<Arm>& arms, const Fidelity& fide
     slot.kept[run] = r.timed_out_cause != sim::BudgetTrip::kWall;
   }
   memo.counts.simulated += missing.size();
-  memo.counts.reused += arms.size() * memo.runs - missing.size();
+  memo.counts.reused += arms.size() * fidelity.runs - missing.size();
 
+  const auto window = [offset, &fidelity](const auto& held) {  // the call's slots
+    const auto first = held.begin() + static_cast<std::ptrdiff_t>(offset);
+    return std::decay_t<decltype(held)>(first, first + static_cast<std::ptrdiff_t>(fidelity.runs));
+  };
   std::vector<ArmRuns> out;
-  for (const std::size_t e : entry) out.push_back(memo.entries[e].runs);
+  for (const std::size_t e : entry) {
+    const ArmMemo::Entry& held = memo.entries[e];
+    out.push_back(held.key.experiment == Experiment::kInterArea
+                      ? ArmRuns{window(held.runs.inter), {}}
+                      : ArmRuns{{}, window(held.runs.intra)});
+  }
   return out;
 }
 

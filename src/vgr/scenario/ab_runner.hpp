@@ -44,16 +44,16 @@ struct AbResult {
   /// Runs (seed-paired A/B executions) where at least one arm tripped the
   /// per-run watchdog (`Fidelity::run_wall_budget_s` / `run_max_events`) and
   /// stopped before its horizon. Such runs still contribute their partial
-  /// timelines; a non-zero count flags the sweep as degraded.
+  /// timelines; the sweep supervisor quarantines a seed whose runs trip.
   std::uint64_t timed_out_runs{0};
   /// `timed_out_runs` split by cause, counted per *arm* (a run where both
   /// arms trip contributes twice here but once above): the event-budget trip
   /// is deterministic, the wall-clock one is host-dependent, and the sweep
-  /// supervisor's retry/degrade ladder keys off the distinction.
+  /// supervisor's quarantine names the cause.
   std::uint64_t timed_out_events{0};
   std::uint64_t timed_out_wall{0};
 
-  /// Folds in `later`, the next runs or seed-range shard of the same point
+  /// Folds in `later`, the next runs or one-seed shard of the same point
   /// (same bin geometry): bins, counters, reception operands, runs and
   /// timeout counts accumulate, then attack_rate and both receptions are
   /// derived again from the merged accumulators. The A/B runner merges its
@@ -76,10 +76,10 @@ struct AbResult {
 /// CSMA/CA + DCC channel.
 struct Fidelity {
   std::uint64_t runs{3};
-  /// Seed-range offset for sweep shards (vgr/sweep): the runs executed are
-  /// seeded `first_run+1 .. first_run+runs`, so a sweep point can be cut
-  /// into seed-range shards whose merged result equals the monolithic run.
-  /// 0 (the default, not env-overridable) keeps historical behaviour.
+  /// Seed-window offset: the runs executed are seeded `first_run+1 ..
+  /// first_run+runs`, so a sweep point can run one seed per shard (vgr/sweep)
+  /// and merge to the result of one call over its whole window. 0 (the
+  /// default, not env-overridable) keeps historical behaviour.
   std::uint64_t first_run{0};
   double sim_seconds{-1.0};  ///< <= 0 keeps the config's duration
   /// Worker threads for independent arms; 0 = auto (VGR_THREADS, read by
@@ -133,13 +133,14 @@ struct ArmRuns {
 };
 
 /// Runs every arm over the seeds first_run+1 .. first_run+runs and returns
-/// each arm's results in the order given. Arms are memoised per calling
-/// thread (docs/performance.md "Arm reuse"), keyed and simulated after the
-/// fidelity and env overrides, with defaults resolved: a plausibility
-/// threshold <= 0 becomes the router's own, and an attacker-free arm drops
-/// every field only an attacker reads (intra-area: the geometry too). The
-/// runs the memo lacks go out as one thread-pool fan-out, one world per
-/// arm-run. Another (first_run, runs) window drops the memo, and a run that
+/// each arm's results in the order given. Arm-runs are memoised per calling
+/// thread by arm and seed (docs/performance.md "Arm reuse"), keyed and
+/// simulated after the fidelity and env overrides, with defaults resolved:
+/// a plausibility threshold <= 0 becomes the router's own, and an
+/// attacker-free arm drops every field only an attacker reads (intra-area:
+/// the geometry too). The runs the memo lacks go out as one thread-pool
+/// fan-out, one world per arm-run. A window that shares a seed with the
+/// memo's widens it, and one that shares none starts it afresh; a run that
 /// tripped the wall-clock budget is never kept. Results are bit-identical
 /// at any thread count and whether or not the memo hit.
 std::vector<ArmRuns> run_arms(const std::vector<Arm>& arms, const Fidelity& fidelity);

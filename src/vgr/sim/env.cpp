@@ -104,14 +104,17 @@ std::optional<double> read_real(const char* name, const Range& range) {
 }
 
 std::optional<std::string> read_text(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return std::nullopt;
-  if (*value == '\0') {
-    warn(name, value, "empty");
-    return std::nullopt;
-  }
-  return std::string{value};
+  std::optional<std::string> value = knob_text(name);
+  if (value != "") return value;  // unset, or not empty
+  warn(name, "", "empty");
+  return std::nullopt;
 }
 
 }  // namespace detail
+
+std::optional<std::string> knob_text(const char* name) {
+  const char* value = std::getenv(name);
+  return value != nullptr ? std::optional<std::string>{value} : std::nullopt;
+}
+
 }  // namespace vgr::sim

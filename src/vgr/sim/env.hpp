@@ -58,6 +58,10 @@ std::string describe(const Range& range) {
   else return describe_numbers(range);
 }
 
+/// Variable `name`'s raw text, neither parsed nor warned about (nullopt when
+/// unset): for a key that changes with a knob's text (sweep's shard key).
+std::optional<std::string> knob_text(const char* name);
+
 namespace detail {
 
 /// Unset -> nullopt, silently. Rejected -> nullopt and one stderr line.

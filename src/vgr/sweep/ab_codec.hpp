@@ -21,12 +21,12 @@ std::string encode_ab(const scenario::AbResult& result);
 /// with fewer counters included).
 std::optional<scenario::AbResult> decode_ab(std::string_view payload);
 
-/// Reassembles one sweep point from its seed-range shard payloads, in
-/// shard order, through AbResult::merge — the merge the A/B runner uses
-/// per run — so one-seed shards give exactly the monolithic result. Shards
-/// that failed to decode or were quarantined must be dropped by the caller
-/// first; an empty list, an undecodable payload or mismatched bin geometry
-/// yields nullopt.
+/// Reassembles one sweep point from its one-seed shard payloads, in seed
+/// order, through AbResult::merge — the merge the A/B runner uses per run —
+/// so they give exactly the result of one call over the point's window.
+/// Shards that failed to decode or were quarantined must be dropped by the
+/// caller first; an empty list, an undecodable payload or mismatched bin
+/// geometry yields nullopt.
 std::optional<scenario::AbResult> merge_ab_payloads(
     const std::vector<std::string>& payloads);
 

@@ -9,14 +9,14 @@
 
 namespace vgr::sweep {
 
-/// One completed (or quarantined) sweep shard, as recorded in the journal.
-/// `payload` is the shard's serialized result — an opaque JSON value the
-/// journal neither interprets nor reorders, so a resumed sweep merges the
-/// exact bytes the original run produced.
+/// One completed (or quarantined) sweep shard, one seed of a point, as
+/// recorded in the journal. `payload` is the shard's serialized result — an
+/// opaque JSON value the journal neither interprets nor reorders, so a
+/// resumed sweep merges the exact bytes the original run produced.
 struct JournalRecord {
   std::string shard;     ///< stable shard key (see shard_key in ab_sweep.hpp)
   std::string status;    ///< "done" or "quarantined"
-  std::string fidelity;  ///< "full" or "degraded" (halved runs / tighter budget)
+  std::string fidelity;  ///< "full"; older journals may hold "degraded"
   std::uint64_t attempts{1};  ///< executions the supervisor spent on the shard
   std::string cause;     ///< last failure cause: "none", "events", "wall", "error"
   std::string payload;   ///< JSON value text; "null" for quarantined shards

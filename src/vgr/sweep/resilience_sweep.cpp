@@ -236,32 +236,18 @@ int run_resilience_sweep(Supervisor& sup, Fidelity f, const ResilienceSelection&
                  static_cast<unsigned long long>(r.frames_flooded),
                  i + 1 < congestion.size() ? "," : "");
   }
-  const SweepCounters& c = sup.counters();
-  std::fprintf(fjson,
-               "  ],\n  \"supervisor\": {\"enabled\": %s, \"shards\": %llu, "
-               "\"completed\": %llu, \"resumed\": %llu, \"retries\": %llu, "
-               "\"degraded\": %llu, \"quarantined_events\": %llu, "
-               "\"quarantined_wall\": %llu, \"quarantined_error\": %llu, "
-               "\"drained\": %llu, \"timed_out_events\": %llu, \"timed_out_wall\": %llu}\n",
-               sup.enabled() ? "true" : "false",
-               static_cast<unsigned long long>(c.shards),
-               static_cast<unsigned long long>(c.completed),
-               static_cast<unsigned long long>(c.resumed),
-               static_cast<unsigned long long>(c.retries),
-               static_cast<unsigned long long>(c.degraded),
-               static_cast<unsigned long long>(c.quarantined_events),
-               static_cast<unsigned long long>(c.quarantined_wall),
-               static_cast<unsigned long long>(c.quarantined_error),
-               static_cast<unsigned long long>(c.drained),
-               static_cast<unsigned long long>(c.timed_out_events),
-               static_cast<unsigned long long>(c.timed_out_wall));
-  std::fprintf(fjson, "}\n");
+  std::fprintf(fjson, "  ],\n  \"supervisor\": {\"enabled\": %s",
+               sup.enabled() ? "true" : "false");
+  for_each_counter([fjson](const char* name, std::uint64_t value) {
+    std::fprintf(fjson, ", \"%s\": %llu", name, static_cast<unsigned long long>(value));
+  }, sup.counters());
+  std::fprintf(fjson, "}\n}\n");
   std::fclose(fjson);
   std::printf("\nwrote %s\n", json_path.c_str());
-  if (Supervisor::drain_requested() || c.drained > 0) {
+  if (Supervisor::drain_requested() || sup.counters().drained > 0) {
     std::printf("drained: %llu shard(s) deferred; resume with VGR_SWEEP_RESUME=1 or "
                 "`vgr_sweep resume`\n",
-                static_cast<unsigned long long>(c.drained));
+                static_cast<unsigned long long>(sup.counters().drained));
   }
   return 0;
 }

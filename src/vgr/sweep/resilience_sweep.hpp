@@ -19,8 +19,9 @@ struct ResilienceSelection {
 /// The resilience study (bench_resilience's body): channel-loss, churn and
 /// congestion sweeps over the inter-area experiment, every A/B pair routed
 /// through `supervisor`. With the supervisor disabled this is exactly the
-/// historical bench; enabled, each point's seed range is journaled shard by
-/// shard so a killed study resumes where it stopped. Prints the usual sweep
+/// historical bench; enabled, each seed of every point is journaled as its
+/// own shard, so a killed study resumes where it stopped and a drained one
+/// after the point in flight. Prints the usual sweep
 /// tables, writes the JSON artifact (results sections first, `"supervisor"`
 /// health block last) to `json_path`, and returns a process exit code.
 int run_resilience_sweep(Supervisor& supervisor, scenario::Fidelity fidelity,

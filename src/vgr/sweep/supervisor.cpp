@@ -29,6 +29,18 @@ void backoff_sleep(double ms) {
   nanosleep(&ts, nullptr);
 }
 
+/// Runs `body`; false, with a line on stderr, when an exception escaped it.
+template <typename Body>
+bool guarded(const std::string& what, Body&& body) {
+  try {
+    body();
+    return true;
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "[sweep] %s failed: %s\n", what.c_str(), ex.what());
+    return false;
+  }
+}
+
 const char* outcome_cause(const ShardOutcome& outcome) {
   if (outcome.error) return "error";
   if (outcome.timed_out_events > 0) return "events";
@@ -86,24 +98,37 @@ void Supervisor::request_drain() { g_drain = 1; }
 
 void Supervisor::reset_drain() { g_drain = 0; }
 
-std::optional<std::string> Supervisor::run_shard(const ShardSpec& spec, const ShardFn& fn) {
-  ++counters_.shards;
+std::vector<std::optional<std::string>> Supervisor::run_point(
+    const std::vector<ShardSpec>& shards, const FanOutFn& fan_out, const ShardFn& fn) {
+  counters_.shards += shards.size();
+  const auto journaled = [this](const ShardSpec& spec) {
+    return journal_.has_value() ? journal_->find(spec.key) : nullptr;
+  };
+  std::vector<ShardSpec> missing;
+  for (const ShardSpec& spec : shards) {
+    if (journaled(spec) == nullptr) missing.push_back(spec);
+  }
+  // Checked once per point, so the point in flight is journaled whole.
+  const bool drained = drain_requested();
+  if (!missing.empty() && !drained) {
+    guarded("point " + missing.front().key + " fan-out", [&] { fan_out(missing); });
+  }
 
-  ShardEffort effort;
-  effort.runs = spec.runs;
-
-  if (journal_.has_value()) {
-    if (const JournalRecord* rec = journal_->find(spec.key); rec != nullptr) {
-      return resume_from(*rec);
+  std::vector<std::optional<std::string>> payloads;
+  for (const ShardSpec& spec : shards) {
+    if (const JournalRecord* rec = journaled(spec); rec != nullptr) {
+      payloads.push_back(resume_from(*rec));
+    } else if (drained) {
+      ++counters_.drained;  // not journaled: a resumed sweep runs it from scratch
+      payloads.emplace_back();
+    } else {
+      payloads.push_back(settle(spec, fn));
     }
   }
+  return payloads;
+}
 
-  if (drain_requested()) {
-    // Not journaled: a resumed sweep will execute this shard from scratch.
-    ++counters_.drained;
-    return std::nullopt;
-  }
-
+std::optional<std::string> Supervisor::settle(const ShardSpec& spec, const ShardFn& fn) {
   ShardOutcome outcome;
   std::uint64_t attempts = 0;
   double backoff = config_.backoff_ms;
@@ -118,106 +143,54 @@ std::optional<std::string> Supervisor::run_shard(const ShardSpec& spec, const Sh
       backoff *= 2.0;
     }
     ++attempts;
-    try {
-      outcome = fn(spec, effort);
-    } catch (const std::exception& ex) {
-      std::fprintf(stderr, "[sweep] shard %s attempt %llu failed: %s\n", spec.key.c_str(),
-                   static_cast<unsigned long long>(attempts), ex.what());
+    const std::string what = "shard " + spec.key + " attempt " + std::to_string(attempts);
+    if (!guarded(what, [&] { outcome = fn(spec); })) {
       outcome = ShardOutcome{};
       outcome.error = true;
     }
     counters_.timed_out_events += outcome.timed_out_events;
     counters_.timed_out_wall += outcome.timed_out_wall;
     if (outcome.clean()) {
-      record(spec, outcome, effort, attempts, "none");
+      record(spec, "done", attempts, "none", outcome.payload);
       ++counters_.completed;
       return outcome.payload;
     }
   }
 
-  // Retries exhausted at full fidelity: one degraded attempt with half the
-  // runs before giving up on the shard.
-  if (drain_requested()) {
-    ++counters_.drained;
-    return std::nullopt;
-  }
-  const char* full_cause = outcome_cause(outcome);
-  ShardEffort degraded = effort;
-  degraded.degraded = true;
-  degraded.runs = effort.runs > 1 ? effort.runs / 2 : 1;
-  ++counters_.degraded;
-  ++attempts;
-  try {
-    outcome = fn(spec, degraded);
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "[sweep] shard %s degraded attempt failed: %s\n",
-                 spec.key.c_str(), ex.what());
-    outcome = ShardOutcome{};
-    outcome.error = true;
-  }
-  counters_.timed_out_events += outcome.timed_out_events;
-  counters_.timed_out_wall += outcome.timed_out_wall;
-  if (outcome.clean()) {
-    record(spec, outcome, degraded, attempts, full_cause);
-    ++counters_.completed;
-    return outcome.payload;
-  }
-
   const char* cause = outcome_cause(outcome);
   std::fprintf(stderr, "[sweep] quarantining shard %s after %llu attempts (cause: %s)\n",
                spec.key.c_str(), static_cast<unsigned long long>(attempts), cause);
-  if (std::strcmp(cause, "events") == 0) {
-    ++counters_.quarantined_events;
-  } else if (std::strcmp(cause, "wall") == 0) {
-    ++counters_.quarantined_wall;
-  } else {
-    ++counters_.quarantined_error;
-  }
-  JournalRecord rec;
-  rec.shard = spec.key;
-  rec.status = "quarantined";
-  rec.fidelity = "degraded";
-  rec.attempts = attempts;
-  rec.cause = cause;
-  rec.payload = "null";
-  if (journal_.has_value()) {
-    journal_->append(rec);
-    maybe_fault();
-  }
+  count_quarantine(cause);
+  record(spec, "quarantined", attempts, cause, "null");
   return std::nullopt;
 }
 
 std::optional<std::string> Supervisor::resume_from(const JournalRecord& rec) {
   ++counters_.resumed;
-  if (rec.fidelity == "degraded") ++counters_.degraded;
   if (rec.status == "quarantined") {
     // Quarantine is sticky across resumes: re-running a poisoned shard
     // would make resumed output depend on how often the sweep crashed.
-    if (rec.cause == "events") {
-      ++counters_.quarantined_events;
-    } else if (rec.cause == "wall") {
-      ++counters_.quarantined_wall;
-    } else {
-      ++counters_.quarantined_error;
-    }
+    count_quarantine(rec.cause);
     return std::nullopt;
   }
   ++counters_.completed;
   return rec.payload;
 }
 
-void Supervisor::record(const ShardSpec& spec, const ShardOutcome& outcome,
-                        const ShardEffort& effort, std::uint64_t attempts,
-                        const char* cause) {
+void Supervisor::count_quarantine(std::string_view cause) {
+  if (cause == "events") {
+    ++counters_.quarantined_events;
+  } else if (cause == "wall") {
+    ++counters_.quarantined_wall;
+  } else {
+    ++counters_.quarantined_error;
+  }
+}
+
+void Supervisor::record(const ShardSpec& spec, const char* status, std::uint64_t attempts,
+                        const char* cause, const std::string& payload) {
   if (!journal_.has_value()) return;
-  JournalRecord rec;
-  rec.shard = spec.key;
-  rec.status = "done";
-  rec.fidelity = effort.degraded ? "degraded" : "full";
-  rec.attempts = attempts;
-  rec.cause = cause;
-  rec.payload = outcome.payload.empty() ? "null" : outcome.payload;
-  journal_->append(rec);
+  journal_->append({spec.key, status, "full", attempts, cause, payload.empty() ? "null" : payload});
   maybe_fault();
 }
 
@@ -236,34 +209,17 @@ void Supervisor::maybe_fault() {
 }
 
 void Supervisor::finish() {
-  if (!config_.enabled || !journal_.has_value()) return;
-  write_manifest();
-}
-
-void Supervisor::write_manifest() const {
+  if (!journal_.has_value()) return;
   const std::string path = config_.journal_path + ".manifest";
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return;
   const bool drained = counters_.drained > 0 || drain_requested();
-  std::fprintf(f,
-               "{\"journal\":\"%s\",\"status\":\"%s\",\"shards\":%llu,"
-               "\"completed\":%llu,\"resumed\":%llu,\"retries\":%llu,"
-               "\"degraded\":%llu,\"quarantined_events\":%llu,"
-               "\"quarantined_wall\":%llu,\"quarantined_error\":%llu,"
-               "\"drained\":%llu,\"timed_out_events\":%llu,"
-               "\"timed_out_wall\":%llu}\n",
-               config_.journal_path.c_str(), drained ? "drained" : "complete",
-               static_cast<unsigned long long>(counters_.shards),
-               static_cast<unsigned long long>(counters_.completed),
-               static_cast<unsigned long long>(counters_.resumed),
-               static_cast<unsigned long long>(counters_.retries),
-               static_cast<unsigned long long>(counters_.degraded),
-               static_cast<unsigned long long>(counters_.quarantined_events),
-               static_cast<unsigned long long>(counters_.quarantined_wall),
-               static_cast<unsigned long long>(counters_.quarantined_error),
-               static_cast<unsigned long long>(counters_.drained),
-               static_cast<unsigned long long>(counters_.timed_out_events),
-               static_cast<unsigned long long>(counters_.timed_out_wall));
+  std::fprintf(f, "{\"journal\":\"%s\",\"status\":\"%s\"", config_.journal_path.c_str(),
+               drained ? "drained" : "complete");
+  for_each_counter([f](const char* name, std::uint64_t value) {
+    std::fprintf(f, ",\"%s\":%llu", name, static_cast<unsigned long long>(value));
+  }, counters_);
+  std::fprintf(f, "}\n");
   std::fclose(f);
 }
 

@@ -1,33 +1,22 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "vgr/sim/env.hpp"
 #include "vgr/sweep/journal.hpp"
 
 namespace vgr::sweep {
 
-/// One unit of supervised work: a sweep point restricted to a seed range.
-/// Runs execute with seeds `first_run+1 .. first_run+runs` (the ab_runner
-/// contract), so chunking a point by seed range and merging the shard
-/// results reproduces the monolithic run bit for bit.
+/// One unit of supervised work: one seed of a sweep point.
 struct ShardSpec {
   std::string key;  ///< stable identity, also the journal lookup key
-  std::uint64_t first_run{0};
-  std::uint64_t runs{1};
-};
-
-/// Execution budget the supervisor hands to a shard attempt. The degraded
-/// rung halves `runs` (min 1) so a shard that cannot finish at full
-/// fidelity can still contribute a flagged partial result. The per-run
-/// watchdog budgets are the shard function's own (`Fidelity`'s
-/// VGR_RUN_MAX_EVENTS / VGR_RUN_TIMEOUT_S): every rung runs under them.
-struct ShardEffort {
-  std::uint64_t runs{1};
-  bool degraded{false};
+  std::uint64_t seed{1};
 };
 
 /// What one shard attempt produced. `payload` is an opaque JSON value the
@@ -51,9 +40,8 @@ struct SupervisorConfig {
   bool enabled{false};                        ///< run the supervised path
   std::string journal_path{"sweep.journal"};
   bool resume{false};                         ///< journaled shards are not re-run
-  std::uint64_t max_retries{2};               ///< full-fidelity retries per shard
+  std::uint64_t max_retries{2};               ///< retries per shard
   double backoff_ms{50.0};                    ///< base retry backoff, doubled per retry
-  std::uint64_t seed_chunk{0};                ///< seeds per shard (0 = one per point)
   /// Crash-test hook: raise(SIGKILL) after this many journal appends
   /// (< 0 = disabled).
   long long fault_after_appends{-1};
@@ -72,18 +60,17 @@ constexpr void for_each_knob(Fn&& fn, SupervisorConfig& c) {
   fn("VGR_SWEEP_RESUME", c.resume, sim::kFlag);
   fn("VGR_SWEEP_RETRIES", c.max_retries, sim::kNonNegative);
   fn("VGR_SWEEP_BACKOFF_MS", c.backoff_ms, sim::kNonNegative);
-  fn("VGR_SWEEP_SEED_CHUNK", c.seed_chunk, sim::kNonNegative);
   fn("VGR_SWEEP_FAULT_AFTER", c.fault_after_appends, sim::Range{});
 }
 
-/// Sweep-level health counters, reported in the bench JSON `supervisor`
-/// block so a study's output says how it was obtained, not just what.
+/// Sweep-level health counters, reported in the `.manifest` and the bench
+/// JSON `supervisor` block so a study's output says how it was obtained,
+/// not just what.
 struct SweepCounters {
-  std::uint64_t shards{0};      ///< shards presented to run_shard
+  std::uint64_t shards{0};      ///< shards presented to run_point
   std::uint64_t completed{0};   ///< shards that produced a payload
   std::uint64_t resumed{0};     ///< shards satisfied from the journal
-  std::uint64_t retries{0};     ///< extra full-fidelity attempts spent
-  std::uint64_t degraded{0};    ///< shards that fell to the degraded rung
+  std::uint64_t retries{0};     ///< extra attempts spent
   std::uint64_t quarantined_events{0};
   std::uint64_t quarantined_wall{0};
   std::uint64_t quarantined_error{0};
@@ -98,19 +85,42 @@ struct SweepCounters {
   friend bool operator==(const SweepCounters&, const SweepCounters&) = default;
 };
 
+/// Calls `fn(name, value)` once per counter, in the order both reports print.
+template <typename Fn>
+constexpr void for_each_counter(Fn&& fn, const SweepCounters& c) {
+  fn("shards", c.shards);
+  fn("completed", c.completed);
+  fn("resumed", c.resumed);
+  fn("retries", c.retries);
+  fn("quarantined_events", c.quarantined_events);
+  fn("quarantined_wall", c.quarantined_wall);
+  fn("quarantined_error", c.quarantined_error);
+  fn("drained", c.drained);
+  fn("timed_out_events", c.timed_out_events);
+  fn("timed_out_wall", c.timed_out_wall);
+}
+
+static_assert(sizeof(SweepCounters) == [] {  // every field is listed, and 8 bytes wide
+  std::size_t listed = 0;
+  for_each_counter([&listed](const char*, std::uint64_t) { ++listed; }, SweepCounters{});
+  return listed * sizeof(std::uint64_t);
+}());
+
 /// Crash-resilient sweep executor: journals every finished shard (fsync'd,
-/// checksummed), resumes by journal lookup, retries failing shards with
-/// exponential backoff, degrades fidelity when retries are exhausted, and
-/// quarantines shards that fail even degraded — all while SIGINT/SIGTERM
-/// request a graceful drain instead of killing the study mid-shard.
+/// checksummed), resumes by journal lookup, retries a dirty shard with
+/// exponential backoff and then quarantines it, all while SIGINT/SIGTERM
+/// request a graceful drain instead of killing the study mid-point.
 ///
 /// With `config.enabled == false` the supervisor opens no journal and
 /// installs no signal handlers; callers then run unsupervised and never
-/// reach run_shard (run_ab_supervised is exactly run_ab), so its counters
+/// reach run_point (run_ab_supervised is exactly run_ab), so its counters
 /// stay zero.
 class Supervisor {
  public:
-  using ShardFn = std::function<ShardOutcome(const ShardSpec&, const ShardEffort&)>;
+  using ShardFn = std::function<ShardOutcome(const ShardSpec&)>;
+  /// Runs the shards a point's journal lacks in one go, ahead of their
+  /// attempts (sweep/ab_sweep: one run_ab call, whose arm memo serves them).
+  using FanOutFn = std::function<void(const std::vector<ShardSpec>&)>;
 
   explicit Supervisor(SupervisorConfig config);
   ~Supervisor();
@@ -122,7 +132,6 @@ class Supervisor {
   /// False when the journal could not be opened (supervised mode only).
   [[nodiscard]] bool ok() const { return !config_.enabled || journal_.has_value(); }
   [[nodiscard]] bool enabled() const { return config_.enabled; }
-  [[nodiscard]] const SupervisorConfig& config() const { return config_; }
   [[nodiscard]] const SweepCounters& counters() const { return counters_; }
   [[nodiscard]] const Journal* journal() const {
     return journal_.has_value() ? &*journal_ : nullptr;
@@ -135,10 +144,17 @@ class Supervisor {
   /// un-drains; tests need the flag back down between cases).
   static void reset_drain();
 
-  /// Runs one shard through the ladder. Returns the payload JSON text;
-  /// nullopt when the shard was quarantined (now or in the journal) or
-  /// skipped because a drain was requested.
-  std::optional<std::string> run_shard(const ShardSpec& spec, const ShardFn& fn);
+  /// Settles one sweep point's shards, in order. Journaled shards resume.
+  /// The others are skipped, unjournaled, when a drain was requested before
+  /// the point; else `fan_out` runs them and each one's `fn` attempt is
+  /// retried with backoff while dirty and no drain is requested, at most
+  /// `max_retries` times, then quarantined. An exception escaping an attempt
+  /// is reported and fails it; one escaping `fan_out` is reported and leaves
+  /// each shard to its own attempts. Returns each shard's payload JSON text;
+  /// nullopt when quarantined or drained.
+  std::vector<std::optional<std::string>> run_point(const std::vector<ShardSpec>& shards,
+                                                    const FanOutFn& fan_out,
+                                                    const ShardFn& fn);
 
   /// Flushes the resumable manifest (`<journal>.manifest`). Called by the
   /// destructor too; explicit calls let benches write it before reporting.
@@ -146,10 +162,11 @@ class Supervisor {
 
  private:
   std::optional<std::string> resume_from(const JournalRecord& rec);
-  void record(const ShardSpec& spec, const ShardOutcome& outcome,
-              const ShardEffort& effort, std::uint64_t attempts, const char* cause);
+  std::optional<std::string> settle(const ShardSpec& spec, const ShardFn& fn);
+  void count_quarantine(std::string_view cause);
+  void record(const ShardSpec& spec, const char* status, std::uint64_t attempts,
+              const char* cause, const std::string& payload);
   void maybe_fault();
-  void write_manifest() const;
 
   SupervisorConfig config_;
   std::optional<Journal> journal_;

@@ -3,14 +3,18 @@
 #
 #   cmake -DBENCH=<bench binary> -DGOLDEN=<golden .txt> -DTHREADS=<n> \
 #         -DACTUAL=<where to write the output on mismatch> \
-#         [-DEXTRA_ENV=<VAR=value;...>] [-DREMOVE=<file>] -P check_golden.cmake
+#         [-DEXTRA_ENV=<VAR=value;...>] [-DREMOVE=<file>] \
+#         [-DEXIT_CODE=<n>] [-DUNCHANGED=<file>] -P check_golden.cmake
 #
 # The `fidelity:` banner line is skipped on both sides: it is the only line
 # that names the thread count, and every other byte must match at any
 # VGR_THREADS. Every other VGR_* variable is cleared first so no knob in the
 # caller's environment can change the run; EXTRA_ENV then sets the listed ones
 # (a supervised run's VGR_SWEEP_*), and REMOVE deletes a file left by an
-# earlier run (a sweep journal) before this one starts.
+# earlier run (a sweep journal) before this one starts. EXIT_CODE (default 0)
+# is the status the bench must exit with; with any other value the output is
+# not compared. UNCHANGED names a file the run must leave byte for byte as it
+# found it (a journal the supervisor refuses).
 #
 # To regenerate after an intended output change, run the bench by hand with
 # VGR_RUNS=2 VGR_SIM_SECONDS=10 VGR_THREADS=1, write its stdout over the
@@ -41,9 +45,25 @@ if(REMOVE)
   file(REMOVE ${REMOVE})
 endif()
 
+if(NOT DEFINED EXIT_CODE)
+  set(EXIT_CODE 0)
+endif()
+if(UNCHANGED)
+  file(SHA256 ${UNCHANGED} unchanged_before)
+endif()
+
 execute_process(COMMAND ${BENCH} OUTPUT_VARIABLE actual RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "${BENCH} exited with ${rc}")
+if(UNCHANGED)
+  file(SHA256 ${UNCHANGED} unchanged_after)
+  if(NOT unchanged_after STREQUAL unchanged_before)
+    message(FATAL_ERROR "${BENCH} changed ${UNCHANGED}")
+  endif()
+endif()
+if(NOT rc EQUAL EXIT_CODE)
+  message(FATAL_ERROR "${BENCH} exited with ${rc}, expected ${EXIT_CODE}")
+endif()
+if(NOT EXIT_CODE EQUAL 0)
+  return()
 endif()
 file(READ ${GOLDEN} expected)
 

@@ -1,8 +1,9 @@
 // In-process arm reuse of the A/B runner (docs/performance.md "Arm reuse"):
 // an arm served from the calling thread's memo must merge to exactly the
 // bits a fresh simulation gives, the memo must key on every field that can
-// change an arm's outcome, and it must never keep a host-dependent outcome
-// or an arm from another seed window.
+// change an arm's outcome, it must never keep a host-dependent outcome, and
+// it keeps runs by seed: a window that overlaps its seeds simulates only
+// the new ones, and one that shares none starts it afresh.
 
 #include <gtest/gtest.h>
 
@@ -277,20 +278,73 @@ TEST(ArmReuse, WallClockTripsAreSimulatedAgainEventTripsAreReused) {
   expect_counts(4, 4);
 }
 
-TEST(ArmReuse, AnotherSeedWindowEvictsTheMemo) {
+TEST(ArmReuse, OverlappingWindowsSimulateOnlyTheirNewSeeds) {
   HighwayConfig cfg = quick_config();
   cfg.attack = AttackKind::kIntraArea;
   clear_arm_reuse();
-  const AbResult first = run_intra_area_ab(cfg, window(0, 2));
   (void)run_intra_area_ab(cfg, window(0, 2));
-  expect_counts(4, 4);
-  (void)run_intra_area_ab(cfg, window(2, 2));  // new window: memo dropped
+  const AbResult wider = run_intra_area_ab(cfg, window(0, 4));  // seeds 3 and 4 are new
   expect_counts(8, 4);
-  const AbResult again = run_intra_area_ab(cfg, window(0, 2));
-  expect_counts(12, 4);
-  EXPECT_EQ(first, again);
-  (void)run_intra_area_ab(cfg, window(0, 3));  // same first_run, more runs
-  expect_counts(18, 4);
+  const AbResult one_seed = run_intra_area_ab(cfg, window(2, 1));  // inside: all served
+  expect_counts(8, 6);
+  clear_arm_reuse();
+  EXPECT_EQ(wider, run_intra_area_ab(cfg, window(0, 4)));
+  clear_arm_reuse();
+  EXPECT_EQ(one_seed, run_intra_area_ab(cfg, window(2, 1)));
+
+  // A window that starts before the held seeds widens them at the front.
+  clear_arm_reuse();
+  (void)run_intra_area_ab(cfg, window(2, 2));
+  const AbResult earlier = run_intra_area_ab(cfg, window(1, 2));  // seed 2 is new
+  expect_counts(6, 2);
+  clear_arm_reuse();
+  EXPECT_EQ(earlier, run_intra_area_ab(cfg, window(1, 2)));
+}
+
+TEST(ArmReuse, Fig9SourceSplitServesItsRowsSeeds) {
+  // bench_fig9_intra_area's source split reads the 500 m row's two arms
+  // over three times the row's runs: the row's seeds are served.
+  HighwayConfig split;
+  split.attack_range_m = 500.0;
+  HighwayConfig attacked = split;
+  attacked.attack = AttackKind::kIntraArea;
+  Fidelity row = window(0, 4);
+  row.sim_seconds = 10.0;
+  Fidelity extra = row;
+  extra.runs = 3 * row.runs;
+  clear_arm_reuse();
+  const AbResult r = run_intra_area_ab(split, row);
+  expect_counts(8, 0);
+  const std::vector<ArmRuns> runs =
+      run_arms({{Experiment::kIntraArea, split}, {Experiment::kIntraArea, attacked}}, extra);
+  expect_counts(8 + 16, 8);
+  ASSERT_EQ(runs[1].intra.size(), extra.runs);
+  ArmRuns first_four = runs[1];
+  first_four.intra.resize(row.runs);
+  EXPECT_EQ(first_four.reception(), r.attacked_reception);
+}
+
+TEST(ArmReuse, DisjointSeedWindowRestartsTheMemo) {
+  // perfbench's fig9_sweep walks its table seeds in disjoint 4-seed windows
+  // and wraps: each window starts the memo afresh, so coming back to an
+  // earlier one simulates it again.
+  HighwayConfig cfg = quick_config();
+  cfg.attack = AttackKind::kIntraArea;
+  const std::vector<Arm> arm{{Experiment::kIntraArea, cfg}};
+  const auto walk_window = [](std::uint64_t first_run) {
+    Fidelity f = window(first_run, 4);
+    f.sim_seconds = 2.0;
+    return f;
+  };
+  clear_arm_reuse();
+  const ArmRuns first = run_arms(arm, walk_window(0)).front();
+  for (const std::uint64_t first_run : {4u, 8u, 12u}) (void)run_arms(arm, walk_window(first_run));
+  expect_counts(16, 0);
+  const ArmRuns again = run_arms(arm, walk_window(0)).front();
+  expect_counts(20, 0);
+  EXPECT_EQ(first.intra, again.intra);
+  (void)run_arms(arm, walk_window(0));
+  expect_counts(20, 4);
 }
 
 }  // namespace

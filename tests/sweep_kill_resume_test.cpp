@@ -99,13 +99,13 @@ int exec_sweep(const std::vector<std::string>& args,
 /// `threads` becomes VGR_THREADS; `fault_after` (>= 0) arms the SIGKILL
 /// fault hook. Returns the raw waitpid status.
 int run_sweep(const char* mode, const SweepFiles& files, int threads, int fault_after) {
-  // Tiny but non-trivial fidelity — 2 runs x 2 simulated seconds, one seed
-  // per shard so the kill lands between journal appends.
+  // Tiny but non-trivial fidelity — 2 runs x 2 simulated seconds, so each
+  // point is two one-seed shards and a kill can land between a point's
+  // journal appends.
   std::vector<std::pair<std::string, std::string>> env{
       {"VGR_RUNS", "2"},
       {"VGR_SIM_SECONDS", "2"},
       {"VGR_THREADS", std::to_string(threads)},
-      {"VGR_SWEEP_SEED_CHUNK", "1"},
       {"VGR_SWEEP_BACKOFF_MS", "0"}};
   if (fault_after >= 0) env.emplace_back("VGR_SWEEP_FAULT_AFTER", std::to_string(fault_after));
   return exec_sweep({mode, "--journal", files.journal, "--out", files.out, "--loss", "0,0.4",
@@ -130,9 +130,9 @@ std::string kill_resume_cycle(int threads) {
   const std::string golden_json = slurp(golden.out);
 
   // Same study, SIGKILL'd after 5 journaled shards. The study has 16
-  // shards (2 loss points x 3 arms x 2 seed chunks, plus 1 flood point x
-  // 2 DCC arms x 2 seed chunks), so the kill lands mid-sweep with real work
-  // both behind and ahead of it.
+  // shards (2 loss points x 3 arms x 2 seeds, plus 1 flood point x 2 DCC
+  // arms x 2 seeds), so the kill lands mid-sweep, between the two seeds of
+  // the third point, with real work both behind and ahead of it.
   status = run_sweep("run", crashed, threads, /*fault_after=*/5);
   EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
       << "fault hook did not SIGKILL, status " << status;

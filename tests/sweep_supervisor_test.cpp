@@ -5,11 +5,14 @@
 #include <unistd.h>
 
 #include <cstddef>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "vgr/sweep/ab_codec.hpp"
 #include "vgr/sweep/ab_sweep.hpp"
@@ -41,11 +44,10 @@ void cleanup(const std::string& journal) {
   std::filesystem::remove(journal + ".manifest");
 }
 
-ShardSpec spec_named(const std::string& key, std::uint64_t runs = 2) {
-  ShardSpec s;
-  s.key = key;
-  s.runs = runs;
-  return s;
+/// One shard through the supervisor: a point of one seed, no fan-out.
+std::optional<std::string> run_shard(Supervisor& sup, const std::string& key,
+                                     const Supervisor::ShardFn& fn) {
+  return sup.run_point({ShardSpec{key, 1}}, [](const std::vector<ShardSpec>&) {}, fn).front();
 }
 
 /// Tiny inter-area config: enough traffic to produce non-trivial bins
@@ -60,7 +62,7 @@ Fidelity small_fidelity(std::uint64_t runs = 3) {
 
 TEST(Supervisor, DisabledModeRunsOnceAndKeepsDirtyResults) {
   // Off, the supervisor is not consulted: the point is one run_ab call whose
-  // watchdog-tripped runs are kept as they are, with no retry or degrade,
+  // watchdog-tripped runs are kept as they are, with no retry or quarantine,
   // and no counter moves.
   HighwayConfig cfg;
   cfg.attack = scenario::AttackKind::kInterArea;
@@ -85,7 +87,7 @@ TEST(Supervisor, CleanShardJournalsOnFirstAttempt) {
   {
     Supervisor sup{test_config(journal)};
     ASSERT_TRUE(sup.ok());
-    auto payload = sup.run_shard(spec_named("shard-a"), [](const ShardSpec&, const ShardEffort&) {
+    auto payload = run_shard(sup, "shard-a", [](const ShardSpec&) {
       ShardOutcome o;
       o.payload = "{\"v\":42}";
       return o;
@@ -103,71 +105,63 @@ TEST(Supervisor, CleanShardJournalsOnFirstAttempt) {
   cleanup(journal);
 }
 
-TEST(Supervisor, LadderRetriesDegradesThenQuarantines) {
+TEST(Supervisor, LadderRetriesThenQuarantines) {
   const std::string journal = temp_journal("ladder");
   cleanup(journal);
   {
     Supervisor sup{test_config(journal)};
     ASSERT_TRUE(sup.ok());
     int calls = 0;
-    bool saw_degraded = false;
-    auto payload =
-        sup.run_shard(spec_named("poisoned", /*runs=*/4),
-                      [&](const ShardSpec&, const ShardEffort& e) {
-                        ++calls;
-                        if (e.degraded) {
-                          saw_degraded = true;
-                          EXPECT_EQ(e.runs, 2u);  // halved
-                        } else {
-                          EXPECT_EQ(e.runs, 4u);
-                        }
-                        ShardOutcome o;
-                        o.timed_out_events = 1;  // events-budget trip, every time
-                        return o;
-                      });
+    auto payload = run_shard(sup, "poisoned", [&](const ShardSpec&) {
+      ++calls;
+      ShardOutcome o;
+      o.timed_out_events = 1;  // events-budget trip, every time
+      return o;
+    });
     EXPECT_FALSE(payload.has_value());
-    // 1 initial + 2 retries (default) + 1 degraded.
-    EXPECT_EQ(calls, 4);
-    EXPECT_TRUE(saw_degraded);
+    // 1 initial + 2 retries (default), then quarantine.
+    EXPECT_EQ(calls, 3);
     EXPECT_EQ(sup.counters().retries, 2u);
-    EXPECT_EQ(sup.counters().degraded, 1u);
     EXPECT_EQ(sup.counters().quarantined_events, 1u);
     EXPECT_EQ(sup.counters().completed, 0u);
-    EXPECT_EQ(sup.counters().timed_out_events, 4u);
+    EXPECT_EQ(sup.counters().timed_out_events, 3u);
   }
   const auto records = Journal::scan(journal);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].status, "quarantined");
+  EXPECT_EQ(records[0].fidelity, "full");
   EXPECT_EQ(records[0].cause, "events");
-  EXPECT_EQ(records[0].attempts, 4u);
+  EXPECT_EQ(records[0].attempts, 3u);
   EXPECT_EQ(records[0].payload, "null");
   cleanup(journal);
 }
 
-TEST(Supervisor, DegradedRungCanRescueAShard) {
+TEST(Supervisor, RetryCanRescueAShard) {
   const std::string journal = temp_journal("rescue");
   cleanup(journal);
   Supervisor sup{test_config(journal)};
   ASSERT_TRUE(sup.ok());
-  auto payload = sup.run_shard(spec_named("wobbly"), [](const ShardSpec&, const ShardEffort& e) {
+  int calls = 0;
+  auto payload = run_shard(sup, "wobbly", [&calls](const ShardSpec&) {
     ShardOutcome o;
-    if (e.degraded) {
-      o.payload = "{\"rescued\":true}";
+    if (++calls == 1) {
+      o.timed_out_wall = 1;  // a loaded host: the retry fits the budget
     } else {
-      o.timed_out_wall = 1;
+      o.payload = "{\"rescued\":true}";
     }
     return o;
   });
   ASSERT_TRUE(payload.has_value());
   EXPECT_EQ(*payload, "{\"rescued\":true}");
-  EXPECT_EQ(sup.counters().degraded, 1u);
+  EXPECT_EQ(sup.counters().retries, 1u);
   EXPECT_EQ(sup.counters().completed, 1u);
   EXPECT_EQ(sup.counters().quarantined(), 0u);
+  EXPECT_EQ(sup.counters().timed_out_wall, 1u);
   const JournalRecord* rec = sup.journal()->find("wobbly");
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->status, "done");
-  EXPECT_EQ(rec->fidelity, "degraded");
-  EXPECT_EQ(rec->cause, "wall");  // what drove the degradation
+  EXPECT_EQ(rec->fidelity, "full");
+  EXPECT_EQ(rec->attempts, 2u);
   cleanup(journal);
 }
 
@@ -176,11 +170,25 @@ TEST(Supervisor, ThrowingShardIsQuarantinedAsError) {
   cleanup(journal);
   Supervisor sup{test_config(journal)};
   ASSERT_TRUE(sup.ok());
-  auto payload = sup.run_shard(spec_named("buggy"), [](const ShardSpec&, const ShardEffort&)
-                                   -> ShardOutcome {
+  auto payload = run_shard(sup, "buggy", [](const ShardSpec&) -> ShardOutcome {
     throw std::runtime_error{"boom"};
   });
   EXPECT_FALSE(payload.has_value());
+  EXPECT_EQ(sup.counters().quarantined_error, 1u);
+
+  // A throwing fan-out is reported and leaves each shard to its own attempt.
+  const auto payloads = sup.run_point(
+      {ShardSpec{"fanned-1", 1}, ShardSpec{"fanned-2", 2}},
+      [](const std::vector<ShardSpec>&) { throw std::runtime_error{"fan-out boom"}; },
+      [](const ShardSpec& shard) {
+        ShardOutcome o;
+        o.payload = std::to_string(shard.seed);
+        return o;
+      });
+  ASSERT_EQ(payloads.size(), 2u);
+  EXPECT_EQ(payloads[0], "1");
+  EXPECT_EQ(payloads[1], "2");
+  EXPECT_EQ(sup.counters().completed, 2u);
   EXPECT_EQ(sup.counters().quarantined_error, 1u);
   cleanup(journal);
 }
@@ -191,12 +199,12 @@ TEST(Supervisor, ResumeReturnsJournaledPayloadWithoutRerunning) {
   {
     Supervisor sup{test_config(journal)};
     ASSERT_TRUE(sup.ok());
-    sup.run_shard(spec_named("done-shard"), [](const ShardSpec&, const ShardEffort&) {
+    run_shard(sup, "done-shard", [](const ShardSpec&) {
       ShardOutcome o;
       o.payload = "{\"v\":7}";
       return o;
     });
-    sup.run_shard(spec_named("dead-shard"), [](const ShardSpec&, const ShardEffort&) {
+    run_shard(sup, "dead-shard", [](const ShardSpec&) {
       ShardOutcome o;
       o.timed_out_events = 1;
       return o;
@@ -206,16 +214,16 @@ TEST(Supervisor, ResumeReturnsJournaledPayloadWithoutRerunning) {
   config.resume = true;
   Supervisor sup{config};
   ASSERT_TRUE(sup.ok());
-  auto must_not_run = [](const ShardSpec&, const ShardEffort&) -> ShardOutcome {
+  auto must_not_run = [](const ShardSpec&) -> ShardOutcome {
     ADD_FAILURE() << "journaled shard re-executed";
     return {};
   };
-  auto payload = sup.run_shard(spec_named("done-shard"), must_not_run);
+  auto payload = run_shard(sup, "done-shard", must_not_run);
   ASSERT_TRUE(payload.has_value());
   EXPECT_EQ(*payload, "{\"v\":7}");
   // Quarantine is sticky on resume: the shard is not retried, so resumed
   // output does not depend on how many times the sweep crashed.
-  EXPECT_FALSE(sup.run_shard(spec_named("dead-shard"), must_not_run).has_value());
+  EXPECT_FALSE(run_shard(sup, "dead-shard", must_not_run).has_value());
   EXPECT_EQ(sup.counters().resumed, 2u);
   EXPECT_EQ(sup.counters().quarantined_events, 1u);
   cleanup(journal);
@@ -227,7 +235,7 @@ TEST(Supervisor, RefusesANonEmptyJournalWithoutResume) {
   {
     Supervisor sup{test_config(journal)};
     ASSERT_TRUE(sup.ok());
-    sup.run_shard(spec_named("s"), [](const ShardSpec&, const ShardEffort&) {
+    run_shard(sup, "s", [](const ShardSpec&) {
       ShardOutcome o;
       o.payload = "null";
       return o;
@@ -241,21 +249,59 @@ TEST(Supervisor, RefusesANonEmptyJournalWithoutResume) {
 TEST(Supervisor, DrainSkipsShardsWithoutJournaling) {
   const std::string journal = temp_journal("drain");
   cleanup(journal);
+  const auto clean = [](const ShardSpec&) {
+    ShardOutcome o;
+    o.payload = "null";
+    return o;
+  };
   {
     Supervisor sup{test_config(journal)};
     ASSERT_TRUE(sup.ok());
+    run_shard(sup, "kept", clean);
+
+    // A drain before a point: its journaled shard resumes, the others
+    // neither fan out nor run.
     Supervisor::request_drain();
     int calls = 0;
-    auto payload = sup.run_shard(spec_named("skipped"), [&](const ShardSpec&, const ShardEffort&) {
-      ++calls;
-      return ShardOutcome{};
-    });
-    EXPECT_FALSE(payload.has_value());
+    const auto payloads = sup.run_point(
+        {ShardSpec{"kept", 1}, ShardSpec{"skipped", 2}},
+        [&calls](const std::vector<ShardSpec>&) { ++calls; },
+        [&calls](const ShardSpec&) {
+          ++calls;
+          return ShardOutcome{};
+        });
+    EXPECT_EQ(payloads[0], "null");
+    EXPECT_FALSE(payloads[1].has_value());
     EXPECT_EQ(calls, 0);
     EXPECT_EQ(sup.counters().drained, 1u);
+    EXPECT_EQ(sup.counters().resumed, 1u);
+    Supervisor::reset_drain();
+
+    // A drain while a point is in flight: its shards' first attempts still
+    // run and are journaled, and only a retry is skipped.
+    int attempts = 0;
+    const auto in_flight = sup.run_point(
+        {ShardSpec{"clean", 1}, ShardSpec{"dirty", 2}},
+        [](const std::vector<ShardSpec>&) { Supervisor::request_drain(); },
+        [&attempts](const ShardSpec& shard) {
+          ++attempts;
+          ShardOutcome o;
+          o.payload = "null";
+          o.timed_out_wall = shard.seed == 2 ? 1 : 0;
+          return o;
+        });
+    EXPECT_TRUE(in_flight[0].has_value());
+    EXPECT_FALSE(in_flight[1].has_value());
+    EXPECT_EQ(attempts, 2);
+    EXPECT_EQ(sup.counters().drained, 2u);
+    EXPECT_EQ(sup.counters().retries, 0u);
     Supervisor::reset_drain();
   }
-  EXPECT_TRUE(Journal::scan(journal).empty());  // nothing recorded: resume re-runs it
+  // Nothing recorded for the skipped shards: a resume runs them.
+  const auto records = Journal::scan(journal);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].shard, "kept");
+  EXPECT_EQ(records[1].shard, "clean");
   cleanup(journal);
 }
 
@@ -265,7 +311,7 @@ TEST(Supervisor, ManifestRecordsTheCounters) {
   {
     Supervisor sup{test_config(journal)};
     ASSERT_TRUE(sup.ok());
-    sup.run_shard(spec_named("s"), [](const ShardSpec&, const ShardEffort&) {
+    run_shard(sup, "s", [](const ShardSpec&) {
       ShardOutcome o;
       o.payload = "null";
       return o;
@@ -274,8 +320,11 @@ TEST(Supervisor, ManifestRecordsTheCounters) {
   }
   std::ifstream in{journal + ".manifest"};
   std::string manifest{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
-  EXPECT_NE(manifest.find("\"status\":\"complete\""), std::string::npos);
-  EXPECT_NE(manifest.find("\"completed\":1"), std::string::npos);
+  EXPECT_EQ(manifest, "{\"journal\":\"" + journal +
+                          "\",\"status\":\"complete\",\"shards\":1,\"completed\":1,"
+                          "\"resumed\":0,\"retries\":0,\"quarantined_events\":0,"
+                          "\"quarantined_wall\":0,\"quarantined_error\":0,\"drained\":0,"
+                          "\"timed_out_events\":0,\"timed_out_wall\":0}\n");
   cleanup(journal);
 }
 
@@ -374,6 +423,11 @@ TEST(AbCodec, PayloadMissingAnyKeyIsRejected) {
   EXPECT_EQ(nested_keys, 2 * scenario::kCounterCount);
 }
 
+void expect_counts(std::uint64_t simulated, std::uint64_t reused) {
+  EXPECT_EQ(scenario::arm_reuse_counts().simulated, simulated);
+  EXPECT_EQ(scenario::arm_reuse_counts().reused, reused);
+}
+
 TEST(AbSweep, SupervisedSingleChunkMatchesDirectRunExactly) {
   const std::string journal = temp_journal("onechunk");
   cleanup(journal);
@@ -382,38 +436,49 @@ TEST(AbSweep, SupervisedSingleChunkMatchesDirectRunExactly) {
   const Fidelity f = small_fidelity();
   const AbResult direct = scenario::run_inter_area_ab(cfg, f);
 
-  // The single shard covers the direct call's seed window, so without a
-  // cleared arm memo it would be served from the direct call's arms.
+  // Without a cleared arm memo the point would be served from the direct
+  // call's arms. Cleared, its one fan-out simulates each arm-run once, and
+  // each seed's shard is served from the memo.
   scenario::clear_arm_reuse();
   Supervisor sup{test_config(journal)};
   ASSERT_TRUE(sup.ok());
   const AbResult supervised = run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
-  EXPECT_EQ(scenario::arm_reuse_counts().simulated, 2 * f.runs);
-  EXPECT_EQ(scenario::arm_reuse_counts().reused, 0u);
-  EXPECT_EQ(sup.counters().shards, 1u);
-  EXPECT_EQ(sup.counters().completed, 1u);
+  expect_counts(2 * f.runs, 2 * f.runs);
+  EXPECT_EQ(sup.counters().shards, f.runs);
+  EXPECT_EQ(sup.counters().completed, f.runs);
+  // Bin accumulators are sums of per-run integer counts, and the seeds
+  // merge in order, so the merge is exact, not merely close.
   EXPECT_EQ(direct, supervised);
   cleanup(journal);
 }
 
 TEST(AbSweep, SeedChunkedShardsMergeToTheMonolithicResult) {
+  // A resume at a larger run count finds the seeds it already has and
+  // simulates only the new ones.
   const std::string journal = temp_journal("chunked");
   cleanup(journal);
   HighwayConfig cfg;
   cfg.attack = scenario::AttackKind::kInterArea;
   const Fidelity f = small_fidelity(/*runs=*/4);
-  const AbResult direct = scenario::run_inter_area_ab(cfg, f);
-
+  Fidelity half = f;
+  half.runs = 2;
+  {
+    Supervisor sup{test_config(journal)};
+    ASSERT_TRUE(sup.ok());
+    (void)run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, half);
+  }
   SupervisorConfig config = test_config(journal);
-  config.seed_chunk = 1;  // one seed per shard
+  config.resume = true;
   Supervisor sup{config};
   ASSERT_TRUE(sup.ok());
-  const AbResult supervised = run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
+  scenario::clear_arm_reuse();
+  const AbResult resumed = run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
+  expect_counts(2 * (f.runs - half.runs), 2 * (f.runs - half.runs));
   EXPECT_EQ(sup.counters().shards, 4u);
+  EXPECT_EQ(sup.counters().resumed, 2u);
   EXPECT_EQ(sup.counters().completed, 4u);
-  // Bin accumulators are sums of per-run integer counts, so the chunked
-  // merge is exact, not merely close.
-  EXPECT_EQ(direct, supervised);
+  scenario::clear_arm_reuse();
+  EXPECT_EQ(resumed, scenario::run_inter_area_ab(cfg, f));
   cleanup(journal);
 }
 
@@ -434,7 +499,7 @@ TEST(AbSweep, PoisonedPointIsQuarantinedWhileOthersComplete) {
       run_ab_supervised(sup, Experiment::kInterArea, "poisoned-pt", cfg, unsatisfiable);
   EXPECT_EQ(poisoned.baseline_reception, 0.0);  // no shard: the all-zero point
   EXPECT_EQ(sup.counters().completed, 0u);
-  EXPECT_EQ(sup.counters().quarantined_events, 1u);
+  EXPECT_EQ(sup.counters().quarantined_events, 2u);  // each seed
   EXPECT_GT(sup.counters().timed_out_events, 0u);
 
   // A second supervisor call on the same sweep continues past the poison.
@@ -443,22 +508,25 @@ TEST(AbSweep, PoisonedPointIsQuarantinedWhileOthersComplete) {
   Supervisor sup2{healthy};
   ASSERT_TRUE(sup2.ok());
   const AbResult good = run_ab_supervised(sup2, Experiment::kInterArea, "good-pt", cfg, f);
-  EXPECT_EQ(sup2.counters().completed, 1u);
+  EXPECT_EQ(sup2.counters().completed, 2u);
   EXPECT_EQ(sup2.counters().quarantined(), 0u);
   EXPECT_GT(good.baseline_reception, 0.0);
   const auto records = Journal::scan(journal);
-  ASSERT_EQ(records.size(), 2u);
+  ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(records[0].status, "quarantined");
-  EXPECT_EQ(records[1].status, "done");
+  EXPECT_EQ(records[1].status, "quarantined");
+  EXPECT_EQ(records[2].status, "done");
+  EXPECT_EQ(records[3].status, "done");
   cleanup(journal);
 }
 
-TEST(AbSweep, ShardWhoseSecondSeedTripsIsJournaledDegradedToItsFirstSeed) {
-  // The fidelity's own event budget caps every rung. Seed 1's arms finish
-  // within it and one of seed 2's does not, so every full attempt trips and
-  // the degraded rung (half the runs: seed 1 alone) rescues the point.
+TEST(AbSweep, SeedThatTripsTheEventBudgetIsQuarantinedAlone) {
+  // The fidelity's own event budget caps every attempt. Seed 1's arms
+  // finish within it and one of seed 2's does not, so seed 2 is retried and
+  // quarantined while the point merges seed 1. The memo keeps event trips,
+  // so the retries simulate nothing.
   constexpr std::uint64_t kBudget = 12000;
-  const std::string journal = temp_journal("degraded");
+  const std::string journal = temp_journal("tripped");
   cleanup(journal);
   HighwayConfig cfg;
   cfg.attack = scenario::AttackKind::kInterArea;
@@ -471,31 +539,103 @@ TEST(AbSweep, ShardWhoseSecondSeedTripsIsJournaledDegradedToItsFirstSeed) {
   ASSERT_GT(scenario::run_ab(Experiment::kInterArea, cfg, f).timed_out_events, 0u)
       << "seed 2 must trip the budget";
 
+  scenario::clear_arm_reuse();
   Supervisor sup{test_config(journal)};
   ASSERT_TRUE(sup.ok());
-  const AbResult rescued = run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
-  EXPECT_EQ(rescued, one_seed);
+  const AbResult point = run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
+  EXPECT_EQ(point, one_seed);
+  EXPECT_EQ(scenario::arm_reuse_counts().simulated, 2 * f.runs);
   EXPECT_EQ(sup.counters().completed, 1u);
-  EXPECT_EQ(sup.counters().degraded, 1u);
-  EXPECT_EQ(sup.counters().quarantined(), 0u);
+  EXPECT_EQ(sup.counters().retries, 2u);
+  EXPECT_EQ(sup.counters().quarantined_events, 1u);
   const auto records = Journal::scan(journal);
-  ASSERT_EQ(records.size(), 1u);
+  ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].status, "done");
-  EXPECT_EQ(records[0].fidelity, "degraded");
-  EXPECT_EQ(records[0].cause, "events");
+  EXPECT_EQ(records[1].status, "quarantined");
+  EXPECT_EQ(records[1].cause, "events");
+  EXPECT_EQ(records[1].attempts, 3u);
+  for (const JournalRecord& rec : records) EXPECT_EQ(rec.fidelity, "full");
+  cleanup(journal);
+}
+
+TEST(AbSweep, DrainBeforeAPointSimulatesAndJournalsNothing) {
+  const std::string journal = temp_journal("drained-pt");
+  cleanup(journal);
+  HighwayConfig cfg;
+  cfg.attack = scenario::AttackKind::kInterArea;
+  const Fidelity f = small_fidelity();
+  {
+    Supervisor sup{test_config(journal)};
+    ASSERT_TRUE(sup.ok());
+    scenario::clear_arm_reuse();
+    Supervisor::request_drain();
+    const AbResult skipped = run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
+    Supervisor::reset_drain();
+    expect_counts(0, 0);
+    EXPECT_EQ(sup.counters().shards, f.runs);
+    EXPECT_EQ(sup.counters().drained, f.runs);
+    EXPECT_EQ(skipped.runs, 0u);
+  }
+  EXPECT_TRUE(Journal::scan(journal).empty());
+  cleanup(journal);
+}
+
+TEST(AbSweep, ResumeUnderAnotherRunKnobRerunsEverySeed) {
+  // The shard key hashes the run-config knobs the environment sets, so a
+  // journal written under one setting never serves a sweep under another.
+  const std::string journal = temp_journal("knob");
+  cleanup(journal);
+  HighwayConfig cfg;
+  cfg.attack = scenario::AttackKind::kInterArea;
+  const Fidelity f = small_fidelity(/*runs=*/2);
+  {
+    Supervisor sup{test_config(journal)};
+    ASSERT_TRUE(sup.ok());
+    (void)run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
+  }
+  SupervisorConfig config = test_config(journal);
+  config.resume = true;
+
+  ::setenv("VGR_FAULT_DROP", "0.5", 1);
+  scenario::clear_arm_reuse();
+  const AbResult fresh = scenario::run_inter_area_ab(cfg, f);
+  scenario::clear_arm_reuse();
+  {
+    Supervisor sup{config};
+    ASSERT_TRUE(sup.ok());
+    const AbResult resumed = run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
+    EXPECT_EQ(sup.counters().resumed, 0u);
+    EXPECT_EQ(sup.counters().completed, f.runs);
+    EXPECT_EQ(resumed, fresh);
+  }
+  ::unsetenv("VGR_FAULT_DROP");
+
+  // The knob as it was: every seed resumes, nothing is simulated.
+  scenario::clear_arm_reuse();
+  Supervisor sup{config};
+  ASSERT_TRUE(sup.ok());
+  (void)run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
+  EXPECT_EQ(sup.counters().resumed, f.runs);
+  expect_counts(0, 0);
   cleanup(journal);
 }
 
 TEST(AbSweep, ShardKeyPinsLabelSeedsAndFidelity) {
   const Fidelity f = small_fidelity();
-  const std::string a = shard_key("pt", Experiment::kInterArea, f, 0, 4);
-  EXPECT_EQ(a, shard_key("pt", Experiment::kInterArea, f, 0, 4));  // stable
-  EXPECT_NE(a, shard_key("pt", Experiment::kInterArea, f, 4, 4));  // seed range
-  EXPECT_NE(a, shard_key("pt2", Experiment::kInterArea, f, 0, 4)); // label
-  EXPECT_NE(a, shard_key("pt", Experiment::kIntraArea, f, 0, 4));  // experiment
+  const std::string a = shard_key("pt", Experiment::kInterArea, f, 1);
+  EXPECT_EQ(a, shard_key("pt", Experiment::kInterArea, f, 1));  // stable
+  EXPECT_NE(a, shard_key("pt", Experiment::kInterArea, f, 2));  // seed
+  EXPECT_NE(a, shard_key("pt2", Experiment::kInterArea, f, 1)); // label
+  EXPECT_NE(a, shard_key("pt", Experiment::kIntraArea, f, 1));  // experiment
   Fidelity g = f;
   g.sim_seconds = 4.0;
-  EXPECT_NE(a, shard_key("pt", Experiment::kInterArea, g, 0, 4));  // fidelity
+  EXPECT_NE(a, shard_key("pt", Experiment::kInterArea, g, 1));  // fidelity
+  g = f;
+  g.runs = f.runs + 1;
+  EXPECT_EQ(a, shard_key("pt", Experiment::kInterArea, g, 1));  // not the run count
+  ::setenv("VGR_MAC_QUEUE", "12x", 1);  // rejected by run_arms, still keyed
+  EXPECT_NE(a, shard_key("pt", Experiment::kInterArea, f, 1));
+  ::unsetenv("VGR_MAC_QUEUE");
 }
 
 }  // namespace

@@ -6,14 +6,15 @@
 //   vgr_sweep status [--journal PATH]
 //
 // `run` executes the resilience study under the supervisor with a fresh
-// journal (it refuses a journal that already holds records); `resume`
-// continues a killed or drained study, re-using every journaled shard and
-// executing only the missing ones; `status` decodes the journal read-only
-// and summarizes progress. Point lists are comma-separated values, or
-// "none" to skip an axis (defaults reproduce bench_resilience); a value
-// outside its axis's range exits 2 before anything runs. Fidelity
-// comes from the usual VGR_RUNS / VGR_SIM_SECONDS / VGR_THREADS knobs and
-// supervision from VGR_SWEEP_* (the CLI forces VGR_SWEEP on).
+// journal (it refuses a journal that already holds records), one shard per
+// seed of every point; `resume` continues a killed or drained study,
+// re-using every journaled seed and executing only the missing ones;
+// `status` decodes the journal read-only and summarizes progress. Point
+// lists are comma-separated values, or "none" to skip an axis (defaults
+// reproduce bench_resilience); a value outside its axis's range exits 2
+// before anything runs. Fidelity comes from the usual VGR_RUNS /
+// VGR_SIM_SECONDS / VGR_THREADS knobs and supervision from VGR_SWEEP_*
+// (the CLI forces VGR_SWEEP on).
 
 #include <cmath>
 #include <cstdio>
@@ -65,25 +66,20 @@ bool parse_levels(const char* arg, double lo, double hi, std::vector<double>& ou
 int status(const std::string& journal_path) {
   std::size_t torn = 0;
   const std::vector<sweep::JournalRecord> records = sweep::Journal::scan(journal_path, &torn);
-  std::size_t done = 0, quarantined = 0, degraded = 0;
+  std::size_t quarantined = 0;
   for (const sweep::JournalRecord& rec : records) {
-    if (rec.status == "quarantined") {
-      ++quarantined;
-    } else {
-      ++done;
-    }
-    if (rec.fidelity == "degraded") ++degraded;
+    if (rec.status == "quarantined") ++quarantined;
   }
   std::printf("journal: %s\n", journal_path.c_str());
-  std::printf("records: %zu done, %zu quarantined (%zu degraded)\n", done, quarantined,
-              degraded);
+  std::printf("records: %zu done, %zu quarantined\n", records.size() - quarantined,
+              quarantined);
   if (torn > 0) {
     std::printf("torn tail: %zu byte(s) — a resume will truncate them\n", torn);
   }
   for (const sweep::JournalRecord& rec : records) {
-    std::printf("  %-12s %-8s attempts=%llu cause=%-6s %s\n", rec.status.c_str(),
-                rec.fidelity.c_str(), static_cast<unsigned long long>(rec.attempts),
-                rec.cause.c_str(), rec.shard.c_str());
+    std::printf("  %-12s attempts=%llu cause=%-6s %s\n", rec.status.c_str(),
+                static_cast<unsigned long long>(rec.attempts), rec.cause.c_str(),
+                rec.shard.c_str());
   }
   return 0;
 }
