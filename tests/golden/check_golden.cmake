@@ -4,7 +4,8 @@
 #   cmake -DBENCH=<bench binary> -DGOLDEN=<golden .txt> -DTHREADS=<n> \
 #         -DACTUAL=<where to write the output on mismatch> \
 #         [-DEXTRA_ENV=<VAR=value;...>] [-DREMOVE=<file>] \
-#         [-DEXIT_CODE=<n>] [-DUNCHANGED=<file>] -P check_golden.cmake
+#         [-DEXIT_CODE=<n>] [-DUNCHANGED=<file>] [-DARTIFACT=<file>] \
+#         -P check_golden.cmake
 #
 # The `fidelity:` banner line is skipped on both sides: it is the only line
 # that names the thread count, and every other byte must match at any
@@ -14,11 +15,15 @@
 # earlier run (a sweep journal) before this one starts. EXIT_CODE (default 0)
 # is the status the bench must exit with; with any other value the output is
 # not compared. UNCHANGED names a file the run must leave byte for byte as it
-# found it (a journal the supervisor refuses).
+# found it (a journal the supervisor refuses). ARTIFACT names a file the bench
+# writes (its JSON artifact, pointed there through EXTRA_ENV): it is deleted
+# before the run, and afterwards it is compared with GOLDEN in place of stdout.
 #
 # To regenerate after an intended output change, run the bench by hand with
 # VGR_RUNS=2 VGR_SIM_SECONDS=10 VGR_THREADS=1, write its stdout over the
-# golden file, and say why in CHANGES.md.
+# golden file, and say why in CHANGES.md. resilience.json is the artifact of
+# bench_resilience at VGR_RUNS=2 VGR_SIM_SECONDS=5 VGR_THREADS=1, written over
+# the golden file through VGR_BENCH_JSON.
 
 foreach(var BENCH GOLDEN THREADS ACTUAL)
   if(NOT DEFINED ${var})
@@ -44,6 +49,9 @@ endforeach()
 if(REMOVE)
   file(REMOVE ${REMOVE})
 endif()
+if(ARTIFACT)
+  file(REMOVE ${ARTIFACT})
+endif()
 
 if(NOT DEFINED EXIT_CODE)
   set(EXIT_CODE 0)
@@ -64,6 +72,12 @@ if(NOT rc EQUAL EXIT_CODE)
 endif()
 if(NOT EXIT_CODE EQUAL 0)
   return()
+endif()
+if(ARTIFACT)
+  if(NOT EXISTS ${ARTIFACT})
+    message(FATAL_ERROR "${BENCH} did not write ${ARTIFACT}")
+  endif()
+  file(READ ${ARTIFACT} actual)
 endif()
 file(READ ${GOLDEN} expected)
 
