@@ -64,6 +64,18 @@ bool TrustStore::verify(const Certificate& cert, const net::Bytes& message,
 VerifyResult TrustStore::verify_message(const Certificate& cert,
                                         const SignedPortionPtr& portion,
                                         std::uint64_t signature) const {
+  if (last_.portion == portion && last_.generation == generation_ &&
+      last_.signature == signature && last_.cert == cert) {
+    ++stats_.memo_hits;  // the probe's hit, whose LRU splice would be a no-op
+    return VerifyResult{last_.ok, true};
+  }
+  const VerifyResult result = probe_memo(cert, portion, signature);
+  last_ = LastVerdict{portion, cert, signature, generation_, result.ok};
+  return result;
+}
+
+VerifyResult TrustStore::probe_memo(const Certificate& cert, const SignedPortionPtr& portion,
+                                    std::uint64_t signature) const {
   const std::uint64_t key = portion->digest;
   const auto it = memo_.find(key);
   if (it != memo_.end()) {

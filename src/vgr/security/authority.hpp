@@ -68,7 +68,12 @@ class TrustStore {
   /// hit condition is exact: same generation, same signature, same
   /// certificate (all fields), and the same portion — by pointer identity
   /// or, failing that, byte equality. Anything less is a miss and is
-  /// recomputed in full.
+  /// recomputed in full. A call that repeats the previous call's question
+  /// (the same portion object, certificate, signature and generation — what
+  /// every co-receiver of one frame asks) is answered from that call's
+  /// verdict without the memo probe: the previous call left that question's
+  /// entry at the front of the memo, so the probe would hit it and change
+  /// nothing but the hit count, which this path counts too.
   [[nodiscard]] VerifyResult verify_message(const Certificate& cert,
                                             const SignedPortionPtr& portion,
                                             std::uint64_t signature) const;
@@ -89,6 +94,9 @@ class TrustStore {
   std::uint64_t generation_{0};
 
   [[nodiscard]] bool certificate_valid_uncached(const Certificate& cert) const;
+  /// verify_message's memo probe, and the full verification on a miss.
+  [[nodiscard]] VerifyResult probe_memo(const Certificate& cert, const SignedPortionPtr& portion,
+                                        std::uint64_t signature) const;
 
   // Certificate-validity LRU. Keyed by serial; an entry answers only for the
   // exact certificate value it was computed for (tampered subject bytes under
@@ -117,6 +125,17 @@ class TrustStore {
   static constexpr std::size_t kMemoCapacity = 8192;
   mutable std::list<std::uint64_t> memo_lru_;  // front = most recent
   mutable std::unordered_map<std::uint64_t, MemoEntry> memo_;
+
+  // The last verify_message question and its verdict. The portion is held
+  // owning, so a freed portion's address can never match a new one.
+  struct LastVerdict {
+    SignedPortionPtr portion;
+    Certificate cert;
+    std::uint64_t signature{0};
+    std::uint64_t generation{0};
+    bool ok{false};
+  };
+  mutable LastVerdict last_;
 
   mutable TrustCacheStats stats_;
 };

@@ -207,7 +207,34 @@ bool EventQueue::step() {
   return true;
 }
 
+bool EventQueue::run_in_place(TimePoint when, std::uint64_t id) {
+  assert(id != 0 && id < next_id_ && "run_in_place needs a number from reserve_ids");
+  if (!in_run_ || when > run_horizon_) return false;
+  const Rec* top = peek();
+  if (top != nullptr && !RecAfter{}(*top, Rec{when, id, 0})) return false;
+  // The check run_until makes before every event, at the same fired_ count.
+  if ((budget_events_end_ != 0 || has_wall_deadline_) && budget_tripped() != BudgetTrip::kNone) {
+    return false;
+  }
+  assert(when >= now_);
+  now_ = when;
+  ++fired_;
+  return true;
+}
+
 void EventQueue::run_until(TimePoint until) {
+  // Run mode ends with this call, also when a callback throws out of it.
+  struct RunMode {
+    EventQueue& q;
+    bool was_in_run;
+    TimePoint was_horizon;
+    ~RunMode() {
+      q.in_run_ = was_in_run;
+      q.run_horizon_ = was_horizon;
+    }
+  } mode{*this, in_run_, run_horizon_};
+  in_run_ = true;
+  run_horizon_ = until;
   const bool budgeted = budget_events_end_ != 0 || has_wall_deadline_;
   for (;;) {
     // peek() surfaces only live events, so a cancelled event sitting at

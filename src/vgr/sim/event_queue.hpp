@@ -104,13 +104,14 @@ class EventQueue {
   }
 
   /// Reserves `n` consecutive event numbers and returns the first. Each
-  /// reserved number is later spent on exactly one schedule_reserved call.
-  /// Because numbers break ties between equal timestamps, an event
-  /// scheduled late under a number reserved early fires exactly where it
-  /// would have fired had it been scheduled at reservation time: after
-  /// every event numbered before the block, before every event numbered
-  /// after it. The medium uses this to keep one calendar entry per frame
-  /// in flight while its receivers fire as if each had its own event.
+  /// reserved number is later spent on exactly one schedule_reserved or
+  /// successful run_in_place call. Because numbers break ties between equal
+  /// timestamps, an event scheduled late under a number reserved early
+  /// fires exactly where it would have fired had it been scheduled at
+  /// reservation time: after every event numbered before the block, before
+  /// every event numbered after it. The medium uses this to keep at most one
+  /// calendar entry per frame in flight while its receivers fire as if each
+  /// had its own event.
   std::uint64_t reserve_ids(std::uint64_t n) {
     const std::uint64_t first = next_id_;
     next_id_ += n;
@@ -119,12 +120,27 @@ class EventQueue {
 
   /// Schedules `f` at `when` (>= now()) under `id`, a number obtained from
   /// reserve_ids and not spent yet. The event belongs to the default
-  /// cohort.
+  /// cohort. A caller that may run the event in place asks run_in_place
+  /// first and files it here only when that returns false.
   template <typename F>
   EventId schedule_reserved(TimePoint when, std::uint64_t id, F&& f) {
     assert(id != 0 && id < next_id_ && "schedule_reserved needs a number from reserve_ids");
     return emplace(when, CohortId{}, id, std::forward<F>(f));
   }
+
+  /// Fires the event reserved as (`when`, `id`) without filing it, when it
+  /// is the queue's next event: called from inside a running callback, it
+  /// returns true only within run_until, with (`when`, `id`) ordering before
+  /// every pending event, `when` not past the run's horizon and the run
+  /// budget not tripped. It then advances now() to `when`, counts one fired
+  /// event and spends `id`; the caller runs the event's work itself, right
+  /// away. Otherwise it changes nothing and returns false, and the caller
+  /// files the event with schedule_reserved. Either way the work runs at the
+  /// same place in the event order, and fired_count(), the budget and the
+  /// wall-clock check see the same counts; only pending_count() read inside
+  /// that work is one lower, since the event was never on the calendar. A
+  /// step() called outside run_until fires exactly one event.
+  bool run_in_place(TimePoint when, std::uint64_t id);
 
   /// Creates a new cancellation cohort. Cohorts are a few bytes each and
   /// live as long as the queue (routers churn in the thousands per run, so
@@ -148,7 +164,8 @@ class EventQueue {
 
   /// Runs events until the queue is empty or `until` is reached. Time
   /// advances to `until` even if the queue drains earlier. Events scheduled
-  /// exactly at `until` do fire.
+  /// exactly at `until` do fire. A callback may run later events in place
+  /// (run_in_place) while this call lasts.
   void run_until(TimePoint until);
 
   /// Runs a single event if one is pending; returns false when drained.
@@ -290,6 +307,9 @@ class EventQueue {
   }
 
   TimePoint now_{};
+  /// Set while run_until runs, with its horizon: what run_in_place needs.
+  bool in_run_{false};
+  TimePoint run_horizon_{};
   std::uint64_t budget_events_end_{0};  ///< fired_ value at which to stop (0 = off)
   bool has_wall_deadline_{false};
   bool budget_exceeded_{false};

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "vgr/net/codec.hpp"
 #include "vgr/security/authority.hpp"
 #include "vgr/security/crypto.hpp"
@@ -345,6 +348,87 @@ TEST(TrustStore, VerifyMemoHitsOnRepeatAndRhlRewrite) {
   const auto& stats = trust.cache_stats();
   EXPECT_EQ(stats.memo_misses, 1u);
   EXPECT_EQ(stats.memo_hits, 2u);
+}
+
+TEST(TrustStore, LastVerdictAnswersOnlyAnExactRepeat) {
+  // verify_message answers a repeat of its previous question from that
+  // call's verdict. Each call below checks the verdict, from_memo and all
+  // four cache counters, which must read as if every call had probed the
+  // memo: `memo` says whether the call is a memo hit, `cert` what its full
+  // verification (on a miss) does to the certificate cache.
+  enum class Cert { kNone, kHit, kMiss };
+  CertificateAuthority ca;
+  const Signer signer{ca.enroll(addr(1))};
+  const Signer other{ca.enroll(addr(2))};
+  const TrustStore& trust = *ca.trust_store();
+  const auto msg = SecuredMessage::sign(sample_gbc(1), signer);
+  const SignedPortionPtr portion = msg.signed_portion();
+  const Certificate cert = msg.signer();
+  const std::uint64_t sig = msg.signature();
+  TrustCacheStats want = trust.cache_stats();
+  const auto check = [&](const Certificate& c, const SignedPortionPtr& p, std::uint64_t s,
+                         bool ok, bool memo, Cert cert_cache) {
+    const VerifyResult got = trust.verify_message(c, p, s);
+    EXPECT_EQ(got.ok, ok);
+    EXPECT_EQ(got.from_memo, memo);
+    ++(memo ? want.memo_hits : want.memo_misses);
+    if (cert_cache == Cert::kHit) ++want.cert_hits;
+    if (cert_cache == Cert::kMiss) ++want.cert_misses;
+    const TrustCacheStats& stats = trust.cache_stats();
+    EXPECT_EQ(stats.memo_hits, want.memo_hits);
+    EXPECT_EQ(stats.memo_misses, want.memo_misses);
+    EXPECT_EQ(stats.cert_hits, want.cert_hits);
+    EXPECT_EQ(stats.cert_misses, want.cert_misses);
+  };
+
+  {
+    SCOPED_TRACE("first call, then a repeat");
+    check(cert, portion, sig, true, false, Cert::kMiss);
+    check(cert, portion, sig, true, true, Cert::kNone);
+  }
+  {
+    SCOPED_TRACE("an RHL-rewritten copy shares the portion");
+    const SecuredMessage hop = msg.with_remaining_hop_limit(2);
+    check(hop.signer(), hop.signed_portion(), hop.signature(), true, true, Cert::kNone);
+  }
+  {
+    SCOPED_TRACE("equal bytes in another object: the memo's byte check");
+    const auto twin = std::make_shared<const SignedPortion>(*portion);
+    check(cert, twin, sig, true, true, Cert::kNone);
+    check(cert, twin, sig, true, true, Cert::kNone);
+  }
+  {
+    SCOPED_TRACE("another certificate, then a tampered signature");
+    check(other.certificate(), portion, sig, false, false, Cert::kMiss);
+    check(other.certificate(), portion, sig, false, true, Cert::kNone);
+    check(cert, portion, sig ^ 1U, false, false, Cert::kHit);
+    check(cert, portion, sig, true, false, Cert::kHit);
+  }
+  {
+    SCOPED_TRACE("a revoke, then an issue, between two calls");
+    ca.revoke(cert.serial);
+    check(cert, portion, sig, false, false, Cert::kMiss);
+    check(cert, portion, sig, false, true, Cert::kNone);
+    ca.enroll(addr(3));
+    check(cert, portion, sig, false, false, Cert::kMiss);
+  }
+  {
+    SCOPED_TRACE("a portion freed and replaced by a new one");
+    const Signer third{ca.enroll(addr(4))};
+    const auto first = std::make_shared<const SignedPortion>(*portion);
+    const std::uint64_t third_sig = third.sign(first->bytes);
+    check(third.certificate(), first, third_sig, true, false, Cert::kMiss);
+    auto twin = std::make_shared<const SignedPortion>(*first);
+    check(third.certificate(), twin, third_sig, true, true, Cert::kNone);
+    twin.reset();
+    // Same size and digest, other bytes: the allocator may hand it the
+    // address `twin` had. It is a new question all the same.
+    net::Bytes tampered = first->bytes;
+    tampered.back() = static_cast<std::uint8_t>(tampered.back() ^ 0x01U);
+    const auto replacement =
+        std::make_shared<const SignedPortion>(SignedPortion{std::move(tampered), first->digest});
+    check(third.certificate(), replacement, third_sig, false, false, Cert::kHit);
+  }
 }
 
 TEST(TrustStore, MemoDistinguishesEqualDigestBuckets) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <initializer_list>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace vgr::sim {
@@ -237,6 +242,130 @@ TEST(EventQueue, ReservedNumberDisplacesACachedMinimumAtTheSameInstant) {
   q.schedule_reserved(t, reserved, [&] { order.push_back(0); });
   q.run_until(t);
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+// --- In-place runs of reserved events ---------------------------------------
+
+/// A delivery cursor in miniature (phy::Medium's shape): `times.size()`
+/// events under one reserved block, one apart in number. Each runs its item,
+/// then the next one in place while the queue allows it, and files the first
+/// one it does not. `order` records "<item>" for an item that was filed and
+/// ran from the calendar, "<item>!" for one run in place.
+struct Cursor {
+  Cursor(EventQueue& queue, std::vector<TimePoint> at) : q{queue}, times{std::move(at)} {
+    first = q.reserve_ids(times.size());
+    file(0);
+  }
+  void file(std::size_t i) {
+    q.schedule_reserved(times[i], first + i, [this, i] { run(i, false); });
+  }
+  void run(std::size_t i, bool in_place) {
+    for (;;) {
+      order.push_back(std::to_string(i) + (in_place ? "!" : ""));
+      pending_seen.push_back(q.pending_count());
+      if (on_item) on_item(i);
+      if (++i == times.size()) return;
+      if (!q.run_in_place(times[i], first + i)) {
+        file(i);
+        return;
+      }
+      in_place = true;
+    }
+  }
+  EventQueue& q;
+  std::vector<TimePoint> times;
+  std::uint64_t first{0};
+  std::vector<std::string> order;
+  std::vector<std::size_t> pending_seen;
+  std::function<void(std::size_t)> on_item;
+};
+
+std::vector<TimePoint> millis(std::initializer_list<int> ms) {
+  std::vector<TimePoint> out;
+  for (const int m : ms) out.push_back(TimePoint::at(Duration::millis(m)));
+  return out;
+}
+
+TEST(EventQueue, RunInPlaceOnlyWhileTheReservedEventIsNext) {
+  // Items 0-4 at 1, 1, 2, 3, 3 ms. A plain event numbered before the block
+  // at 2 ms comes before item 2, and one numbered after it at 3 ms comes
+  // after item 4; item 1 schedules another at 1 ms, numbered after the
+  // block, which must wait for the flight's 1 ms items only.
+  EventQueue q;
+  std::vector<std::string> order;
+  q.schedule_at(TimePoint::at(Duration::millis(2)), [&] { order.push_back("before"); });
+  Cursor c{q, millis({1, 1, 2, 3, 3})};
+  c.on_item = [&](std::size_t i) {
+    order.push_back(c.order.back());
+    if (i == 1) {
+      q.schedule_at(TimePoint::at(Duration::millis(1)), [&] { order.push_back("scheduled"); });
+    }
+  };
+  q.schedule_at(TimePoint::at(Duration::millis(3)), [&] { order.push_back("after"); });
+  q.run_until(TimePoint::at(1_s));
+  EXPECT_EQ(order, (std::vector<std::string>{"0", "1!", "scheduled", "before", "2", "3!", "4!",
+                                             "after"}));
+  EXPECT_EQ(q.fired_count(), 8u);
+  // While an item runs in place its successor is not on the calendar.
+  EXPECT_EQ(c.pending_seen, (std::vector<std::size_t>{2, 2, 1, 1, 1}));
+  EXPECT_FALSE(q.run_in_place(TimePoint::at(2_s), q.reserve_ids(1)));  // outside run_until
+}
+
+TEST(EventQueue, StepFiresOneReservedEventAndFilesTheNext) {
+  EventQueue q;
+  Cursor c{q, millis({1, 1, 2})};
+  ASSERT_TRUE(q.step());
+  EXPECT_EQ(c.order, (std::vector<std::string>{"0"}));
+  EXPECT_EQ(q.fired_count(), 1u);
+  EXPECT_EQ(q.pending_count(), 1u);
+  q.run_until(TimePoint::at(1_s));
+  EXPECT_EQ(c.order, (std::vector<std::string>{"0", "1", "2!"}));
+}
+
+TEST(EventQueue, EventBudgetStopsInPlaceRunsAtTheExactCount) {
+  // The horizon holds the whole flight, so only the budget stops it (and
+  // time, which a stopped run still advances to the horizon, stays put).
+  EventQueue q;
+  Cursor c{q, millis({1, 1, 1, 1, 1, 1})};
+  q.set_run_budget(/*max_events=*/4, /*wall_seconds=*/0.0);
+  q.run_until(TimePoint::at(Duration::millis(1)));
+  EXPECT_TRUE(q.budget_exceeded());
+  EXPECT_EQ(c.order, (std::vector<std::string>{"0", "1!", "2!", "3!"}));
+  EXPECT_EQ(q.fired_count(), 4u);
+  EXPECT_EQ(q.pending_count(), 1u);  // item 4, filed
+  q.set_run_budget(0, 0.0);
+  q.run_until(TimePoint::at(2_s));
+  EXPECT_EQ(c.order, (std::vector<std::string>{"0", "1!", "2!", "3!", "4", "5!"}));
+  EXPECT_EQ(q.fired_count(), 6u);
+}
+
+TEST(EventQueue, HorizonInsideAFlightLeavesTheRestForTheNextRun) {
+  EventQueue q;
+  Cursor c{q, millis({1, 2, 2, 3, 4})};
+  q.run_until(TimePoint::at(Duration::millis(2)));  // inclusive
+  EXPECT_EQ(c.order, (std::vector<std::string>{"0", "1!", "2!"}));
+  EXPECT_EQ(q.now(), TimePoint::at(Duration::millis(2)));
+  EXPECT_EQ(q.pending_count(), 1u);
+  q.run_until(TimePoint::at(1_s));
+  EXPECT_EQ(c.order, (std::vector<std::string>{"0", "1!", "2!", "3", "4!"}));
+}
+
+TEST(EventQueue, ACallbackThatThrowsLeavesTheQueueOutOfRunMode) {
+  EventQueue q;
+  Cursor c{q, millis({1, 1, 1})};
+  c.on_item = [](std::size_t i) {
+    if (i == 1) throw std::runtime_error{"boom"};
+  };
+  EXPECT_THROW(q.run_until(TimePoint::at(1_s)), std::runtime_error);
+  EXPECT_EQ(c.order, (std::vector<std::string>{"0", "1!"}));
+  // No run is in progress, so nothing runs in place, and the queue still
+  // runs what is filed: step() fires one event, run_until the rest.
+  EXPECT_FALSE(q.run_in_place(TimePoint::at(2_s), q.reserve_ids(1)));
+  Cursor d{q, millis({5, 5, 5})};
+  ASSERT_TRUE(q.step());
+  EXPECT_EQ(d.order, (std::vector<std::string>{"0"}));
+  q.run_until(TimePoint::at(2_s));
+  EXPECT_EQ(d.order, (std::vector<std::string>{"0", "1", "2!"}));
 }
 
 // --- Per-run watchdog (the parallel harness's circuit breaker) ------------
