@@ -236,6 +236,16 @@ std::vector<ArmRuns> run_arms(const std::vector<Arm>& arms, const Fidelity& fide
 }
 
 AbResult run_ab(Experiment experiment, HighwayConfig config, const Fidelity& fidelity) {
+  const sim::Duration horizon = fidelity.horizon(config);
+  AbResult out{sim::BinnedRate{kBinWidth, horizon}, sim::BinnedRate{kBinWidth, horizon}};
+  for (const AbResult& seed : run_ab_seeds(experiment, std::move(config), fidelity)) {
+    out.merge(seed);
+  }
+  return out;
+}
+
+std::vector<AbResult> run_ab_seeds(Experiment experiment, HighwayConfig config,
+                                   const Fidelity& fidelity) {
   HighwayConfig baseline = config;
   baseline.attack = AttackKind::kNone;
   if (config.attack == AttackKind::kNone) {
@@ -245,13 +255,15 @@ AbResult run_ab(Experiment experiment, HighwayConfig config, const Fidelity& fid
   const std::vector<ArmRuns> arms =
       run_arms({{experiment, baseline}, {experiment, config}}, fidelity);
   const sim::Duration horizon = fidelity.horizon(config);
-  AbResult out{sim::BinnedRate{kBinWidth, horizon}, sim::BinnedRate{kBinWidth, horizon}};
+  std::vector<AbResult> seeds;
   for (std::size_t run = 0; run < fidelity.runs; ++run) {
-    out.merge(experiment == Experiment::kInterArea
-                  ? pair_result(arms[0].inter[run], arms[1].inter[run])
-                  : pair_result(arms[0].intra[run], arms[1].intra[run]));
+    AbResult& seed = seeds.emplace_back(sim::BinnedRate{kBinWidth, horizon},
+                                        sim::BinnedRate{kBinWidth, horizon});
+    seed.merge(experiment == Experiment::kInterArea
+                   ? pair_result(arms[0].inter[run], arms[1].inter[run])
+                   : pair_result(arms[0].intra[run], arms[1].intra[run]));
   }
-  return out;
+  return seeds;
 }
 
 double ArmRuns::reception() const {

@@ -152,6 +152,13 @@ std::vector<ArmRuns> run_arms(const std::vector<Arm>& arms, const Fidelity& fide
 /// defines the vulnerable-packet workload (see AttackKind).
 AbResult run_ab(Experiment experiment, HighwayConfig config, const Fidelity& fidelity);
 
+/// run_ab's seeds one by one: element i is what run_ab returns for seed
+/// first_run+i+1 alone, and merging them in order (AbResult::merge) gives
+/// run_ab's result over the whole window bit for bit. The sweep supervisor
+/// takes each seed's first shard attempt from one such call.
+std::vector<AbResult> run_ab_seeds(Experiment experiment, HighwayConfig config,
+                                   const Fidelity& fidelity);
+
 inline AbResult run_inter_area_ab(HighwayConfig config, const Fidelity& fidelity) {
   return run_ab(Experiment::kInterArea, std::move(config), fidelity);
 }
