@@ -128,9 +128,10 @@ int main() {
 
   // Extension: end-to-end delivery latency of the surviving packets (the
   // paper does not report latency; useful for judging the GF+buffering
-  // path).
-  std::printf("\nDelivery latency of received packets (DSRC, wN attacker, seed 1)\n");
-  {
+  // path). A drained run skips it: it is unsupervised, and the resume that
+  // finishes the rows prints it.
+  if (!supervisor().drained()) {
+    std::printf("\nDelivery latency of received packets (DSRC, wN attacker, seed 1)\n");
     // Fig 7c's TTL 20 s row ran both arms: the memo serves them.
     HighwayConfig cfg;
     cfg.attack_range_m = phy::range_table(cfg.tech).nlos_worst_m;
@@ -159,5 +160,6 @@ int main() {
   bench::print_cumulative("interception", fig8);
   std::printf("\npaper reference: mL saturates at ~100%%; wN variants cluster below;\n"
               "shorter TTL lowers the curve; two-direction raises it.\n");
+  supervisor().report_drain();  // a drained run's rows are partial: say so last
   return 0;
 }

@@ -244,11 +244,7 @@ int run_resilience_sweep(Supervisor& sup, Fidelity f, const ResilienceSelection&
   std::fprintf(fjson, "}\n}\n");
   std::fclose(fjson);
   std::printf("\nwrote %s\n", json_path.c_str());
-  if (Supervisor::drain_requested() || sup.counters().drained > 0) {
-    std::printf("drained: %llu shard(s) deferred; resume with VGR_SWEEP_RESUME=1 or "
-                "`vgr_sweep resume`\n",
-                static_cast<unsigned long long>(sup.counters().drained));
-  }
+  sup.report_drain();
   return 0;
 }
 

@@ -8,8 +8,12 @@
 // the same key, which pins the journaled counters and the shard merge. A
 // point list the study cannot run is refused before any journal exists.
 //
-// The binary and golden paths are injected at configure time (VGR_SWEEP_BIN
-// and VGR_SWEEP_GOLDEN, see tests/CMakeLists.txt).
+// A supervised bench_fig7_inter_area drained by SIGTERM must say so on its
+// last stdout line, leave a drained manifest, and print, once resumed,
+// exactly what an uninterrupted run prints.
+//
+// The binary and golden paths are injected at configure time (VGR_SWEEP_BIN,
+// VGR_FIG7_BIN and VGR_SWEEP_GOLDEN, see tests/CMakeLists.txt).
 
 #include <gtest/gtest.h>
 
@@ -17,10 +21,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -190,6 +196,83 @@ TEST(SweepKillResume, PointOutsideItsAxisRangeExitsWithUsageAndNoJournal) {
     EXPECT_FALSE(std::filesystem::exists(files.out));
     cleanup(files);
   }
+}
+
+/// Runs bench_fig7_inter_area at 2 runs x 60 s on 4 threads in a cleared
+/// VGR_* environment plus `env`, its stdout written to `out`. With a
+/// non-empty `drain_journal`, SIGTERMs it once that journal holds a record.
+/// Returns the raw waitpid status.
+int run_fig7(const std::vector<std::pair<std::string, std::string>>& env,
+             const std::string& out, const std::string& drain_journal = {}) {
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ADD_FAILURE() << "fork failed";
+    return -1;
+  }
+  if (pid == 0) {
+    clear_vgr_env();
+    ::setenv("VGR_RUNS", "2", 1);
+    ::setenv("VGR_SIM_SECONDS", "60", 1);
+    ::setenv("VGR_THREADS", "4", 1);
+    for (const auto& [name, value] : env) ::setenv(name.c_str(), value.c_str(), 1);
+    if (std::freopen(out.c_str(), "w", stdout) == nullptr) std::_Exit(126);
+    char* argv[] = {const_cast<char*>("bench_fig7_inter_area"), nullptr};
+    ::execv(VGR_FIG7_BIN, argv);
+    std::_Exit(127);  // exec failed
+  }
+  int status = 0;
+  if (!drain_journal.empty()) {
+    for (;;) {
+      if (::waitpid(pid, &status, WNOHANG) == pid) return status;  // finished first
+      std::error_code ec;
+      if (std::filesystem::file_size(drain_journal, ec) > 0 && !ec) break;
+      ::usleep(2000);
+    }
+    ::kill(pid, SIGTERM);
+  }
+  EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+  return status;
+}
+
+TEST(SweepKillResume, DrainedFig7SaysSoAndItsResumePrintsTheUninterruptedOutput) {
+  const std::string journal = temp_file("fig7_j");
+  const std::string reference = temp_file("fig7_ref");
+  const std::string drained = temp_file("fig7_drained");
+  const std::string resumed = temp_file("fig7_resumed");
+  const auto remove_all = [&] {
+    for (const std::string& f : {journal, journal + ".manifest", reference, drained, resumed}) {
+      std::filesystem::remove(f);
+    }
+  };
+  remove_all();
+  const std::vector<std::pair<std::string, std::string>> supervised{
+      {"VGR_SWEEP", "1"}, {"VGR_SWEEP_JOURNAL", journal}, {"VGR_SWEEP_BACKOFF_MS", "0"}};
+
+  int status = run_fig7({}, reference);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "status " << status;
+
+  status = run_fig7(supervised, drained, journal);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "status " << status;
+  const std::string out = slurp(drained);
+  ASSERT_GE(out.size(), 2u);
+  const std::size_t last_line = out.rfind('\n', out.size() - 2);
+  ASSERT_NE(last_line, std::string::npos);
+  const std::string tail = out.substr(last_line + 1);
+  EXPECT_EQ(tail.rfind("drained: ", 0), 0u) << tail;
+  EXPECT_NE(tail.find(" shard(s) deferred; resume with VGR_SWEEP_RESUME=1"), std::string::npos)
+      << tail;
+  EXPECT_EQ(out.find("Delivery latency"), std::string::npos) << "latency rows ran after a drain";
+  const std::string manifest = slurp(journal + ".manifest");
+  EXPECT_NE(manifest.find("\"status\":\"drained\""), std::string::npos) << manifest;
+  EXPECT_EQ(manifest.find("\"drained\":0,"), std::string::npos)
+      << "SIGTERM landed after the last point:\n" << manifest;
+
+  std::vector<std::pair<std::string, std::string>> resume = supervised;
+  resume.emplace_back("VGR_SWEEP_RESUME", "1");
+  status = run_fig7(resume, resumed);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "status " << status;
+  EXPECT_EQ(slurp(resumed), slurp(reference));
+  remove_all();
 }
 
 }  // namespace
