@@ -282,7 +282,7 @@ BENCHMARK(BM_EventQueueScheduleFire);
 // Cohort retirement: schedule range(0) timers into one cohort, retire them
 // all with a single cancel_cohort (the CBF contention-cancel pattern — a
 // dense flood used to cancel ~100k contention timers one EventId at a
-// time), then drain the queue so the lazily-skipped calendar entries are
+// time), then drain the queue so the lazily-skipped heap records are
 // also paid for here and not carried into the next iteration. items/s
 // counts cancelled timers.
 void BM_EventQueueCancelCohort(benchmark::State& state) {

@@ -282,7 +282,7 @@ class Medium {
   // the flight: it delivers to a receiver, then runs the next arrival in
   // place while that arrival is the queue's next event
   // (EventQueue::run_in_place), and otherwise files it as the flight's one
-  // calendar entry.
+  // queue record.
 
   /// One receiver of a flight. Trivially copyable, so a flight's arrivals
   /// sort as plain memory; per-receiver extras live in Flight::extras.
@@ -304,7 +304,7 @@ class Medium {
     RadioId sender;
     std::vector<Arrival> arrivals;
     std::vector<Extra> extras;
-    std::size_t next{0};  ///< arrival the pending calendar entry delivers
+    std::size_t next{0};  ///< arrival the pending queue record delivers
   };
 
   /// Delivers the next arrival of `flights_[index]`, and the ones after it

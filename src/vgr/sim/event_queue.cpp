@@ -41,10 +41,6 @@ std::size_t EventQueue::cancel_cohort(CohortId cohort) {
   live_count_ -= retired;
   c.pending = 0;
   ++c.gen;
-  if (cache_valid_) {
-    const Slot& s = slot_at(cache_.slot);
-    if (s.owner == cache_.id && s.cohort == cohort.value) cache_valid_ = false;
-  }
   return retired;
 }
 
@@ -58,11 +54,10 @@ bool EventQueue::cancel(EventId id) {
     --cohort_ref(s.cohort).pending;
   }
   // Either way the slot's callable is done for; collect it eagerly (the
-  // calendar record is dropped lazily when it surfaces).
+  // heap record is dropped lazily when it reaches the top).
   s.destroy(s.storage);
   s.owner = 0;
   free_slots_.push_back(id.slot);
-  if (cache_valid_ && cache_.id == id.value) cache_valid_ = false;
   return was_live;
 }
 
@@ -88,101 +83,17 @@ void EventQueue::collect_dead(const Rec& r) {
   }
 }
 
-void EventQueue::cleanup_top(std::vector<Rec>& bucket) {
-  while (!bucket.empty() && rec_dead(bucket.front())) {
-    collect_dead(bucket.front());
-    std::pop_heap(bucket.begin(), bucket.end(), RecAfter{});
-    bucket.pop_back();
-    --recs_;
-  }
-}
-
-void EventQueue::insert_rec(const Rec& rec) {
-  if (recs_ + 1 > 2 * buckets_.size() && buckets_.size() < kMaxBuckets) {
-    rebuild_buckets(buckets_.size() * 2);
-  }
-  const std::size_t b = static_cast<std::size_t>(tick_of(rec.when)) & bucket_mask_;
-  auto& bucket = buckets_[b];
-  bucket.push_back(rec);
-  std::push_heap(bucket.begin(), bucket.end(), RecAfter{});
-  ++recs_;
-  // The cached minimum survives only a record that fires after it. A
-  // reserved number can be smaller than the cached one at the same
-  // instant, so comparing timestamps alone is not enough.
-  if (cache_valid_ && RecAfter{}(cache_, rec)) {
-    cache_ = rec;
-    cache_bucket_ = b;
-  }
-}
-
-void EventQueue::rebuild_buckets(std::size_t new_count) {
-  std::vector<std::vector<Rec>> fresh(new_count);
-  const std::size_t mask = new_count - 1;
-  for (auto& bucket : buckets_) {
-    for (const Rec& r : bucket) {
-      if (rec_dead(r)) {  // resize doubles as a purge of retired entries
-        collect_dead(r);
-        --recs_;
-        continue;
-      }
-      fresh[static_cast<std::size_t>(tick_of(r.when)) & mask].push_back(r);
-    }
-  }
-  for (auto& bucket : fresh) std::make_heap(bucket.begin(), bucket.end(), RecAfter{});
-  buckets_ = std::move(fresh);
-  bucket_mask_ = mask;
-  cache_valid_ = false;
-}
-
 const EventQueue::Rec* EventQueue::peek() {
-  if (cache_valid_) return &cache_;
-  if (recs_ == 0) return nullptr;
-  // Scan one year of buckets starting at the current instant's tick. Every
-  // record satisfies when >= now_, so nothing can hide behind the start.
-  const std::uint64_t start = tick_of(now_);
-  const std::size_t nb = buckets_.size();
-  for (std::size_t i = 0; i < nb; ++i) {
-    const std::uint64_t t = start + i;
-    auto& bucket = buckets_[static_cast<std::size_t>(t) & bucket_mask_];
-    cleanup_top(bucket);
-    if (recs_ == 0) return nullptr;
-    if (!bucket.empty() && tick_of(bucket.front().when) == t) {
-      cache_ = bucket.front();
-      cache_bucket_ = static_cast<std::size_t>(t) & bucket_mask_;
-      cache_valid_ = true;
-      return &cache_;
-    }
+  while (!heap_.empty() && rec_dead(heap_.front())) {
+    collect_dead(heap_.front());
+    pop_front();
   }
-  // Nothing within a year of now: fall back to the global minimum (rare —
-  // an idle queue holding only far-horizon soft-state timers).
-  const Rec* best = nullptr;
-  std::size_t best_bucket = 0;
-  for (std::size_t b = 0; b < nb; ++b) {
-    cleanup_top(buckets_[b]);
-    if (buckets_[b].empty()) continue;
-    const Rec& top = buckets_[b].front();
-    if (best == nullptr || RecAfter{}(*best, top)) {
-      best = &top;
-      best_bucket = b;
-    }
-  }
-  if (best == nullptr) return nullptr;
-  cache_ = *best;
-  cache_bucket_ = best_bucket;
-  cache_valid_ = true;
-  return &cache_;
+  return heap_.empty() ? nullptr : &heap_.front();
 }
 
 void EventQueue::pop_front() {
-  assert(cache_valid_);
-  auto& bucket = buckets_[cache_bucket_];
-  std::pop_heap(bucket.begin(), bucket.end(), RecAfter{});
-  bucket.pop_back();
-  --recs_;
-  cache_valid_ = false;
-  if (recs_ < buckets_.size() / 8 && buckets_.size() > kMinBuckets) {
-    rebuild_buckets(buckets_.size() / 2);
-  }
+  std::pop_heap(heap_.begin(), heap_.end(), RecAfter{});
+  heap_.pop_back();
 }
 
 bool EventQueue::step() {
@@ -196,14 +107,22 @@ bool EventQueue::step() {
   // Mark fired before invoking: a callback cancelling or re-querying its
   // own id must see "already fired", and the slot is only recycled after
   // the callable has been destroyed, so reentrant schedules cannot clobber
-  // the running closure even though they may acquire fresh slots.
+  // the running closure even though they may acquire fresh slots. The
+  // guard destroys and recycles it also when the callable throws.
   s.owner = 0;
   --live_count_;
   --cohort_ref(s.cohort).pending;
   ++fired_;
+  struct Release {
+    EventQueue& q;
+    std::uint32_t idx;
+    ~Release() {
+      Slot& done = q.slot_at(idx);
+      done.destroy(done.storage);
+      q.free_slots_.push_back(idx);
+    }
+  } release{*this, r.slot};
   s.invoke(s.storage);
-  s.destroy(s.storage);
-  free_slots_.push_back(r.slot);
   return true;
 }
 
@@ -246,7 +165,9 @@ void EventQueue::run_until(TimePoint until) {
       if (trip != BudgetTrip::kNone) {
         budget_exceeded_ = true;
         budget_trip_ = trip;
-        break;
+        // Time stays at the last fired event: every event left pending
+        // comes at or after it.
+        return;
       }
     }
     step();

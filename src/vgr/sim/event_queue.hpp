@@ -1,10 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -48,15 +48,17 @@ enum class BudgetTrip : std::uint8_t { kNone, kEvents, kWall };
 ///
 /// Memory plane (ROADMAP item 4): callbacks live in fixed-size slots of a
 /// slab allocator (no per-schedule heap allocation as long as the callable
-/// fits `kInlineCallbackBytes`), and the pending set is a bucketed calendar
-/// queue — per-bucket min-heaps of 24-byte records over a power-of-two ring
-/// of ~0.5 ms buckets — instead of one large binary heap of std::functions.
-/// Events can be scheduled into a *cohort*; `cancel_cohort` retires every
-/// pending member in O(1) by bumping the cohort's generation counter, which
-/// is how CBF contention cancellation and router teardown avoid tombstoning
-/// thousands of timers one by one. Determinism is unaffected: a retired
-/// event is skipped exactly where it would have fired, so the relative
-/// order of surviving events never changes.
+/// fits `kInlineCallbackBytes`), and the pending set is one binary min-heap
+/// of 24-byte (time, event number, slot) records. The delivery cursor files
+/// at most one record per frame in flight, so the heap stays a few thousand
+/// records deep even on the densest workload. Events can be scheduled into
+/// a *cohort*; `cancel_cohort` retires every pending member in O(1) by
+/// bumping the cohort's generation counter, which is how CBF contention
+/// cancellation and router teardown avoid tombstoning thousands of timers
+/// one by one. A cancelled or retired record stays in the heap until it
+/// reaches the top and is dropped there. Determinism is unaffected: a
+/// retired event is skipped exactly where it would have fired, so the
+/// relative order of surviving events never changes.
 class EventQueue {
  public:
   /// Callables up to this size (and max_align_t alignment) are stored
@@ -64,10 +66,6 @@ class EventQueue {
   /// allocation. Sized for the fattest steady-state capture (an attacker's
   /// replay closure, which holds a whole phy::Frame) with headroom.
   static constexpr std::size_t kInlineCallbackBytes = 96;
-
-  /// Source-compat alias: std::function still schedules fine (it is simply
-  /// stored inline like any other callable).
-  using Callback = std::function<void()>;
 
   EventQueue() = default;
   ~EventQueue();
@@ -110,7 +108,7 @@ class EventQueue {
   /// fires exactly where it would have fired had it been scheduled at
   /// reservation time: after every event numbered before the block, before
   /// every event numbered after it. The medium uses this to keep at most one
-  /// calendar entry per frame in flight while its receivers fire as if each
+  /// queue record per frame in flight while its receivers fire as if each
   /// had its own event.
   std::uint64_t reserve_ids(std::uint64_t n) {
     const std::uint64_t first = next_id_;
@@ -138,7 +136,7 @@ class EventQueue {
   /// files the event with schedule_reserved. Either way the work runs at the
   /// same place in the event order, and fired_count(), the budget and the
   /// wall-clock check see the same counts; only pending_count() read inside
-  /// that work is one lower, since the event was never on the calendar. A
+  /// that work is one lower, since the event was never in the queue. A
   /// step() called outside run_until fires exactly one event.
   bool run_in_place(TimePoint when, std::uint64_t id);
 
@@ -148,7 +146,7 @@ class EventQueue {
   CohortId make_cohort();
 
   /// Retires every pending event of `cohort` in O(1) (generation bump; the
-  /// calendar entries are skipped lazily where they would have fired).
+  /// queue records are skipped lazily where they would have fired).
   /// Returns how many events were retired. The cohort stays usable for new
   /// schedules. Note: individual EventIds of retired events flip to
   /// not-pending, but cancel() on them returns false — the cohort already
@@ -164,11 +162,15 @@ class EventQueue {
 
   /// Runs events until the queue is empty or `until` is reached. Time
   /// advances to `until` even if the queue drains earlier. Events scheduled
-  /// exactly at `until` do fire. A callback may run later events in place
+  /// exactly at `until` do fire. When the run budget stops the run early,
+  /// now() stays at the last fired event, so a later run_until or step()
+  /// resumes where it stopped. A callback may run later events in place
   /// (run_in_place) while this call lasts.
   void run_until(TimePoint until);
 
-  /// Runs a single event if one is pending; returns false when drained.
+  /// Runs a single event if one is pending; returns false when drained. The
+  /// event's callable is destroyed and its slot recycled once it returns,
+  /// also when it throws.
   bool step();
 
   /// Number of events that are scheduled and not cancelled.
@@ -245,50 +247,38 @@ class EventQueue {
     s.gen = co.gen;
     ++co.pending;
     ++live_count_;
-    insert_rec(Rec{when, id, slot_idx});
+    heap_.push_back(Rec{when, id, slot_idx});
+    std::push_heap(heap_.begin(), heap_.end(), RecAfter{});
     return EventId{id, slot_idx};
   }
 
-  // --- Calendar queue ---------------------------------------------------
-  // Power-of-two ring of buckets, each a min-heap (std::push_heap/pop_heap
-  // over a contiguous vector) ordered by (when, id). Bucket width is fixed
-  // at 2^19 ns ≈ 0.52 ms — the scale of airtime/contention timers — and
-  // the bucket count adapts to the pending population, which also widens
-  // the "year" (bucket_count × width) that one peek scan covers.
+  // --- Pending set ------------------------------------------------------
+  // One binary min-heap (std::push_heap/pop_heap over a vector) ordered by
+  // (when, id), a strict total order: ids are unique.
   struct Rec {
     TimePoint when;
     std::uint64_t id;
     std::uint32_t slot;
   };
-  static constexpr std::uint32_t kBucketWidthLog2 = 19;
-  static constexpr std::size_t kMinBuckets = 256;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 16U;
 
   // Heap comparator: treating "fires later" as less puts the earliest
-  // record at the front of each bucket's heap.
+  // record at the front of the heap.
   struct RecAfter {
     bool operator()(const Rec& a, const Rec& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.id > b.id;  // event-number order among equal timestamps
     }
   };
-  [[nodiscard]] static std::uint64_t tick_of(TimePoint t) {
-    return static_cast<std::uint64_t>(t.count()) >> kBucketWidthLog2;
-  }
 
-  void insert_rec(const Rec& rec);
-  /// Earliest live record, skipping (and collecting) retired ones; null
-  /// when drained. The result is cached until the queue changes shape.
+  /// Earliest live record, popping (and collecting) retired ones off the
+  /// top; null when drained.
   [[nodiscard]] const Rec* peek();
-  /// Removes the record returned by the last peek().
+  /// Removes the heap's front record.
   void pop_front();
-  /// Pops retired records off the top of one bucket heap.
-  void cleanup_top(std::vector<Rec>& bucket);
   [[nodiscard]] bool rec_dead(const Rec& r) const;
   /// Releases the slot of a retired record (destroying the callable) if the
   /// cohort retirement left it uncollected.
   void collect_dead(const Rec& r);
-  void rebuild_buckets(std::size_t new_count);
 
   [[nodiscard]] BudgetTrip budget_tripped();
 
@@ -325,17 +315,7 @@ class EventQueue {
 
   std::vector<Cohort> cohorts_{Cohort{}};  // [0] = default, never retired
 
-  std::vector<std::vector<Rec>> buckets_ = make_initial_buckets();
-  std::size_t bucket_mask_{kMinBuckets - 1};
-  std::size_t recs_{0};  ///< total calendar entries, live + retired
-
-  bool cache_valid_{false};
-  Rec cache_{};
-  std::size_t cache_bucket_{0};
-
-  static std::vector<std::vector<Rec>> make_initial_buckets() {
-    return std::vector<std::vector<Rec>>(kMinBuckets);
-  }
+  std::vector<Rec> heap_;
 };
 
 }  // namespace vgr::sim

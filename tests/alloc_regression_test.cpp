@@ -3,7 +3,7 @@
 // This binary overrides global operator new/delete with counting wrappers
 // and runs a small intra-area flood, then asserts an upper bound on heap
 // allocations per delivered packet. The bound pins the arena/SoA memory
-// plane: EventQueue's slab-backed callback slots, the calendar queue,
+// plane: EventQueue's slab-backed callback slots and record heap,
 // LocationTable's flat tables and the shared SecuredMessage envelope all
 // show up here the moment one of them regresses to per-event heap churn.
 //

@@ -1,9 +1,19 @@
 #include "vgr/sim/event_queue.hpp"
 
+#include "vgr/sim/random.hpp"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -368,6 +378,27 @@ TEST(EventQueue, ACallbackThatThrowsLeavesTheQueueOutOfRunMode) {
   EXPECT_EQ(d.order, (std::vector<std::string>{"0", "1", "2!"}));
 }
 
+TEST(EventQueue, ACallbackThatThrowsIsDestroyedWithItsSlot) {
+  auto held = std::make_shared<int>(0);
+  {
+    EventQueue q;
+    q.schedule_in(1_ms, [held] {
+      ++*held;
+      throw std::runtime_error{"boom"};
+    });
+    EXPECT_EQ(held.use_count(), 2);
+    EXPECT_THROW(q.run_until(TimePoint::at(1_s)), std::runtime_error);
+    EXPECT_EQ(*held, 1);
+    EXPECT_EQ(held.use_count(), 1);  // released on unwind, not at teardown
+    // The recycled slot serves the next event.
+    int fired = 0;
+    q.schedule_in(1_ms, [&] { ++fired; });
+    q.run_until(TimePoint::at(2_s));
+    EXPECT_EQ(fired, 1);
+  }
+  EXPECT_EQ(held.use_count(), 1);
+}
+
 // --- Per-run watchdog (the parallel harness's circuit breaker) ------------
 
 TEST(EventQueue, RunBudgetStopsAfterExactEventCount) {
@@ -378,8 +409,26 @@ TEST(EventQueue, RunBudgetStopsAfterExactEventCount) {
   q.run_until(TimePoint::at(1_s));
   EXPECT_TRUE(q.budget_exceeded());
   EXPECT_EQ(fired, 10);  // deterministic: exactly the budget, no more
-  // Time still advances to the horizon even on an early stop.
+  // An early stop leaves time at the last fired event, not the horizon.
+  EXPECT_EQ(q.now(), TimePoint::at(Duration::millis(10)));
+}
+
+TEST(EventQueue, StepAfterABudgetTripNeverMovesTimeBack) {
+  EventQueue q;
+  std::vector<TimePoint> seen;
+  for (int i = 1; i <= 4; ++i) {
+    q.schedule_at(TimePoint::at(Duration::millis(i)), [&] { seen.push_back(q.now()); });
+  }
+  q.set_run_budget(2, 0.0);
+  q.run_until(TimePoint::at(1_s));
+  ASSERT_TRUE(q.budget_exceeded());
+  EXPECT_EQ(q.now(), TimePoint::at(Duration::millis(2)));
+  ASSERT_TRUE(q.step());
+  EXPECT_EQ(q.now(), TimePoint::at(Duration::millis(3)));
+  q.set_run_budget(0, 0.0);
+  q.run_until(TimePoint::at(1_s));
   EXPECT_EQ(q.now(), TimePoint::at(1_s));
+  EXPECT_EQ(seen, millis({1, 2, 3, 4}));
 }
 
 TEST(EventQueue, ZeroBudgetsDisableTheWatchdog) {
@@ -456,6 +505,252 @@ TEST(EventQueue, SettingANewBudgetResetsTripCause) {
   EXPECT_EQ(q.budget_trip(), BudgetTrip::kNone);
   q.run_until(TimePoint::at(2_s));
   EXPECT_EQ(q.budget_trip(), BudgetTrip::kNone);
+}
+
+// --- Differential check against a sorted reference ------------------------
+
+/// Drives one queue through seeded random operations and, after each one,
+/// compares it with a plain sorted set of live (time, number) pairs: fired
+/// order, now(), pending_count() and pending(id) of every event issued. The
+/// offsets span 1 ns to 100 s, so the queue sees dense bursts, idle spans
+/// holding only far-future events, and cancelled or cohort-retired records
+/// at its front. A fired event may schedule a child, at its own instant or
+/// later, as a callback would.
+class Differential {
+ public:
+  explicit Differential(std::uint64_t seed) : rng_{seed} {}
+
+  void run(int ops) {
+    for (int i = 0; i < ops; ++i) {
+      // Alternate filling and draining so the pending set grows to hundreds
+      // of events and empties again.
+      const bool filling = (i / 1000) % 2 == 0;
+      apply(filling);
+      check();
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+
+ private:
+  struct Plan {
+    std::int64_t child_ns{-1};  ///< child's offset from its parent; -1 = none
+    CohortId child_cohort{};
+  };
+  struct Ref {
+    TimePoint when;
+    CohortId cohort;
+    bool live{true};
+  };
+
+  void apply(bool filling) {
+    const double r = rng_.uniform();
+    const double run_share = filling ? 0.08 : 0.35;
+    if (r < run_share / 2) {
+      const TimePoint until = q_.now() + Duration::nanos(offset_ns());
+      q_.run_until(until);
+      ref_run(until);
+    } else if (r < run_share) {
+      const bool fired = q_.step();
+      EXPECT_EQ(fired, ref_step());
+    } else if (r < run_share + 0.08) {
+      cancel_one();
+    } else if (r < run_share + 0.10) {
+      reserve();
+    } else if (r < run_share + 0.11) {
+      if (cohorts_.size() < 6) cohorts_.push_back(q_.make_cohort());
+    } else if (r < run_share + 0.12) {
+      if (!cohorts_.empty()) {
+        const CohortId c = cohorts_[index(cohorts_.size())];
+        EXPECT_EQ(q_.cancel_cohort(c), ref_cancel_cohort(c));
+      }
+    } else if (r < run_share + 0.18 && !unspent_.empty()) {
+      schedule_reserved();
+    } else {
+      schedule();
+    }
+  }
+
+  void schedule_reserved() {
+    const std::size_t pick = index(unspent_.size());
+    const std::uint64_t number = unspent_[pick];
+    unspent_.erase(unspent_.begin() + static_cast<std::ptrdiff_t>(pick));
+    const TimePoint when = event_time();
+    const Plan plan = draw_plan();
+    const std::size_t k = ids_.size();
+    ids_.push_back(q_.schedule_reserved(when, number, Fire{this, k}));
+    EXPECT_EQ(ids_[k].value, number);
+    plans_[number] = plan;
+    ref_add(number, when, CohortId{});
+  }
+
+  void schedule() {
+    const CohortId cohort =
+        cohorts_.empty() || rng_.bernoulli(0.5) ? CohortId{} : cohorts_[index(cohorts_.size())];
+    const TimePoint when = event_time();
+    const Plan plan = draw_plan();
+    const std::size_t k = ids_.size();
+    EventId id;
+    if (rng_.bernoulli(0.5)) {
+      id = cohort.value == 0 ? q_.schedule_at(when, Fire{this, k})
+                             : q_.schedule_at(when, cohort, Fire{this, k});
+    } else {
+      id = cohort.value == 0 ? q_.schedule_in(when - q_.now(), Fire{this, k})
+                             : q_.schedule_in(when - q_.now(), cohort, Fire{this, k});
+    }
+    ids_.push_back(id);
+    EXPECT_EQ(id.value, ref_next_);
+    plans_[id.value] = plan;
+    ref_add(ref_next_++, when, cohort);
+  }
+
+  void reserve() {
+    const auto n = static_cast<std::uint64_t>(rng_.uniform_int(1, 8));
+    const std::uint64_t first = q_.reserve_ids(n);
+    EXPECT_EQ(first, ref_next_);
+    for (std::uint64_t i = 0; i < n; ++i) unspent_.push_back(first + i);
+    ref_next_ += n;
+  }
+
+  void cancel_one() {
+    if (ids_.empty()) return;
+    const EventId id = ids_[index(ids_.size())];
+    const bool was_pending = q_.cancel(id);
+    Ref& ref = refs_.at(id.value);
+    EXPECT_EQ(was_pending, ref.live);
+    ref_kill(id.value);
+  }
+
+  /// The callback of the k-th event issued.
+  struct Fire {
+    Differential* d;
+    std::size_t k;
+    void operator()() const { d->fire(k); }
+  };
+
+  /// A fired event records its number and may schedule its planned child.
+  void fire(std::size_t k) {
+    const std::uint64_t number = ids_[k].value;
+    fired_.push_back(number);
+    const Plan plan = plans_.at(number);
+    if (plan.child_ns < 0) return;
+    const Plan child_plan = draw_plan();
+    const std::size_t child = ids_.size();
+    const TimePoint when = q_.now() + Duration::nanos(plan.child_ns);
+    ids_.push_back(plan.child_cohort.value == 0
+                       ? q_.schedule_at(when, Fire{this, child})
+                       : q_.schedule_at(when, plan.child_cohort, Fire{this, child}));
+    plans_[ids_[child].value] = child_plan;
+  }
+
+  Plan draw_plan() {
+    Plan plan;
+    if (rng_.bernoulli(0.2)) {
+      plan.child_ns = rng_.bernoulli(0.3) ? 0 : offset_ns();
+      if (!cohorts_.empty() && rng_.bernoulli(0.5)) {
+        plan.child_cohort = cohorts_[index(cohorts_.size())];
+      }
+    }
+    return plan;
+  }
+
+  /// Log-uniform from 1 ns to 100 s.
+  std::int64_t offset_ns() {
+    return std::llround(std::exp(rng_.uniform(0.0, std::log(100e9))));
+  }
+
+  /// Now, the time of a live event (a tie on time), or an offset from now.
+  TimePoint event_time() {
+    const double r = rng_.uniform();
+    if (r < 0.1) return q_.now();
+    if (r < 0.2 && !live_.empty()) {
+      auto it = live_.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(index(std::min<std::size_t>(live_.size(), 32))));
+      return it->first;
+    }
+    return q_.now() + Duration::nanos(offset_ns());
+  }
+
+  std::size_t index(std::size_t n) {
+    return static_cast<std::size_t>(rng_.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  }
+
+  // --- Reference: live events in a sorted set ---------------------------
+  void ref_add(std::uint64_t number, TimePoint when, CohortId cohort) {
+    refs_[number] = Ref{when, cohort, true};
+    live_.emplace(when, number);
+  }
+  void ref_kill(std::uint64_t number) {
+    Ref& ref = refs_.at(number);
+    if (ref.live) live_.erase({ref.when, number});
+    ref.live = false;
+  }
+  std::size_t ref_cancel_cohort(CohortId cohort) {
+    std::size_t retired = 0;
+    for (auto it = live_.begin(); it != live_.end();) {
+      Ref& ref = refs_.at(it->second);
+      if (ref.cohort == cohort) {
+        ref.live = false;
+        it = live_.erase(it);
+        ++retired;
+      } else {
+        ++it;
+      }
+    }
+    return retired;
+  }
+  void ref_fire_front() {
+    const auto [when, number] = *live_.begin();
+    ref_kill(number);
+    ref_now_ = when;
+    ref_fired_.push_back(number);
+    const auto plan = plans_.find(number);
+    if (plan != plans_.end() && plan->second.child_ns >= 0) {
+      ref_add(ref_next_++, when + Duration::nanos(plan->second.child_ns),
+              plan->second.child_cohort);
+    }
+  }
+  bool ref_step() {
+    if (live_.empty()) return false;
+    ref_fire_front();
+    return true;
+  }
+  void ref_run(TimePoint until) {
+    while (!live_.empty() && live_.begin()->first <= until) ref_fire_front();
+    if (ref_now_ < until) ref_now_ = until;
+  }
+
+  void check() {
+    ASSERT_EQ(fired_, ref_fired_);
+    ASSERT_EQ(q_.now(), ref_now_);
+    ASSERT_EQ(q_.pending_count(), live_.size());
+    for (const EventId id : ids_) {
+      const auto ref = refs_.find(id.value);
+      ASSERT_NE(ref, refs_.end());
+      ASSERT_EQ(q_.pending(id), ref->second.live) << "event " << id.value;
+    }
+  }
+
+  EventQueue q_;
+  Rng rng_;
+  std::vector<EventId> ids_;             ///< every event issued, by issue order
+  std::map<std::uint64_t, Plan> plans_;  ///< by event number
+  std::vector<std::uint64_t> unspent_;   ///< reserved numbers not scheduled yet
+  std::vector<CohortId> cohorts_;
+  std::vector<std::uint64_t> fired_;  ///< numbers in the order the queue fired them
+
+  std::map<std::uint64_t, Ref> refs_;  ///< every number scheduled, by number
+  std::set<std::pair<TimePoint, std::uint64_t>> live_;
+  TimePoint ref_now_{};
+  std::uint64_t ref_next_{1};
+  std::vector<std::uint64_t> ref_fired_;
+};
+
+TEST(EventQueueDifferential, MatchesASortedReferenceUnderRandomOperations) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Differential{seed}.run(4000);
+    if (HasFailure()) return;
+  }
 }
 
 }  // namespace
