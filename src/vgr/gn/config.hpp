@@ -21,11 +21,6 @@ struct RouterConfig {
   // --- Beaconing (§III-B: every 3 s with a random jitter within 0.75 s).
   sim::Duration beacon_interval{sim::Duration::seconds(3.0)};
   sim::Duration beacon_jitter{sim::Duration::seconds(0.75)};
-  /// ETSI §8.3: any transmitted GN packet restarts the beacon timer — a
-  /// station whose CAMs/forwards already advertise its PV sends no extra
-  /// beacons. Disable to force fixed-cadence beaconing regardless of
-  /// traffic.
-  bool beacon_suppression_on_activity{true};
 
   // --- Duplicate address detection (ETSI §10.2.1.5): hearing one's own GN
   //     address from another station signals an address conflict. Note the

@@ -211,7 +211,6 @@ net::SequenceNumber Router::send_geo_unicast(net::GnAddress destination,
   const net::SequenceNumber sn = next_sequence_++;
 
   duplicates_.check_and_record(p);
-  ++stats_.guc_originated;
   gf_route(security::share(security::SecuredMessage::sign(p, signer_)), dest_pos,
            /*allow_buffer=*/true);
   return sn;
@@ -333,7 +332,6 @@ net::SequenceNumber Router::send_topo_broadcast(net::Bytes payload,
   p.payload = std::move(payload);
   const net::SequenceNumber sn = next_sequence_++;
   duplicates_.check_and_record(p);
-  ++stats_.tsb_originated;
   transmit(security::share(security::SecuredMessage::sign(p, signer_)),
            net::MacAddress::broadcast());
   return sn;
@@ -939,10 +937,10 @@ void Router::deliver(const security::SecuredMessagePtr& msg, net::MacAddress fro
 
 void Router::transmit(const security::SecuredMessagePtr& msg, net::MacAddress dst) {
   // Any outgoing GN packet proves our liveness/position to neighbours, so
-  // the beacon timer restarts (ETSI beacon service). Beacons themselves are
-  // rescheduled by their own send path.
-  if (config_.beacon_suppression_on_activity && !msg->packet().is_beacon() &&
-      events_.pending(beacon_event_)) {
+  // the beacon timer restarts (ETSI §8.3 beacon service): a station whose
+  // CAMs/forwards already advertise its PV sends no extra beacons. Beacons
+  // themselves are rescheduled by their own send path.
+  if (!msg->packet().is_beacon() && events_.pending(beacon_event_)) {
     events_.cancel(beacon_event_);
     schedule_beacon();
   }

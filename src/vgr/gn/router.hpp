@@ -29,7 +29,6 @@ struct RouterStats {
   std::uint64_t beacons_sent{0};
   std::uint64_t beacons_received{0};
   std::uint64_t gbc_originated{0};
-  std::uint64_t guc_originated{0};
   std::uint64_t delivered{0};
   std::uint64_t gf_unicast_forwards{0};
   std::uint64_t gf_broadcast_fallbacks{0};
@@ -60,7 +59,6 @@ struct RouterStats {
   std::uint64_t duplicates{0};
   std::uint64_t rhl_exhausted{0};
   std::uint64_t shb_sent{0};
-  std::uint64_t tsb_originated{0};
   std::uint64_t tsb_forwards{0};
   std::uint64_t ls_requests_sent{0};
   std::uint64_t ls_replies_sent{0};
