@@ -66,17 +66,16 @@ void BM_SignMessage(benchmark::State& state) {
 }
 BENCHMARK(BM_SignMessage);
 
-// Cold verification: every call is a memo miss — the pool of distinct
-// pre-signed messages is larger than the trust store's memo capacity and is
-// cycled sequentially, so under LRU each entry is evicted before its next
-// use. This is the price a router pays the first time a signed portion
-// crosses its ingest.
+// Cold verification: every call is computed in full — the pool of distinct
+// pre-signed messages is cycled sequentially, so no call repeats the
+// previous one and the trust store's last verdict never answers. This is
+// the price the first receiver of a transmission pays.
 void BM_VerifyMessageCold(benchmark::State& state) {
   security::CertificateAuthority ca;
   const security::Signer signer{ca.enroll(
       net::GnAddress{net::GnAddress::StationType::kPassengerCar, net::MacAddress{1}})};
   std::vector<security::SecuredMessage> pool;
-  const std::size_t pool_size = 10000;  // > kMemoCapacity (8192)
+  const std::size_t pool_size = 10000;  // as in the rows BENCH_micro.json holds
   pool.reserve(pool_size);
   net::Packet p = sample_gbc();
   for (std::size_t i = 0; i < pool_size; ++i) {
@@ -92,17 +91,17 @@ void BM_VerifyMessageCold(benchmark::State& state) {
 }
 BENCHMARK(BM_VerifyMessageCold);
 
-// Warm verification: the same envelope re-verified — a replayed frame, a
-// CBF duplicate, or the next hop of an RHL-decremented forward. Hits the
-// verification memo; this is most of the per-receiver security cost in a
-// dense flood.
+// Warm verification: the same envelope re-verified, as every co-receiver of
+// one frame does right after the first. Answered from the trust store's
+// last verdict; this is most of the per-receiver security cost in a dense
+// flood.
 void BM_VerifyMessageWarm(benchmark::State& state) {
   security::CertificateAuthority ca;
   const security::Signer signer{ca.enroll(
       net::GnAddress{net::GnAddress::StationType::kPassengerCar, net::MacAddress{1}})};
   const auto msg = security::SecuredMessage::sign(sample_gbc(), signer);
   const auto trust = ca.trust_store();
-  benchmark::DoNotOptimize(msg.verify(*trust));  // prime the memo
+  benchmark::DoNotOptimize(msg.verify(*trust));  // set the last verdict
   for (auto _ : state) benchmark::DoNotOptimize(msg.verify(*trust));
 }
 BENCHMARK(BM_VerifyMessageWarm);

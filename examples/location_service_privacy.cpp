@@ -66,8 +66,7 @@ int main() {
 
   // --- Pseudonym rotation ----------------------------------------------------
   attack::Sniffer eavesdropper{events, medium, {600.0, 15.0}, 1283.0};
-  security::PseudonymManager pool{ca, nodes[1].router->mac(), 4, sim::Duration::seconds(30.0),
-                                  rng.fork()};
+  security::PseudonymManager pool{ca, 4, sim::Duration::seconds(30.0), rng.fork()};
 
   const auto before = nodes[1].router->address();
   std::printf("\nnode 1 rotates its pseudonym (old alias %s)...\n",

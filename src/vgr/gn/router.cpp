@@ -393,7 +393,8 @@ void Router::process_frame(const security::SecuredMessagePtr& msg, const phy::Fr
   //    store. Forged messages (e.g. a blackhole attacker's fake beacons) die
   //    here; *replayed* ones sail through — the paper's key observation.
   //    The first receiver of a transmission pays the full check; its
-  //    co-receivers (and later hops) hit the trust store's memo.
+  //    co-receivers ask the same question next and are answered from the
+  //    trust store's last verdict.
   const security::VerifyResult verdict = msg->verify_detailed(*trust_);
   if (verdict.from_memo) {
     ++stats_.verify_memo_hits;

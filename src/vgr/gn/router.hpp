@@ -40,10 +40,11 @@ struct RouterStats {
   std::uint64_t cbf_suppressed{0};
   std::uint64_t cbf_mitigation_keeps{0};
   std::uint64_t auth_failures{0};
-  // --- Verification-memo counters (TrustStore caches, docs/performance.md):
-  //     one increment per ingest signature check. A hit replayed the verdict
-  //     from the trust store's memo (same signer, signature and
-  //     signed-portion bytes, re-checked in full); a miss recomputed it.
+  // --- Verification counters (TrustStore last verdict, docs/performance.md):
+  //     one increment per ingest signature check. A hit was answered from the
+  //     trust store's last verdict (the same signed-portion object, signer,
+  //     signature and trust generation as the previous check); a miss
+  //     computed it in full.
   std::uint64_t verify_memo_hits{0};
   std::uint64_t verify_memo_misses{0};
   // --- Hardened-ingest drop counters, one per cause (see Router::ingest):

@@ -14,7 +14,7 @@ net::Bytes certificate_tbs(CertificateSerial serial, net::GnAddress subject, boo
 
 }  // namespace
 
-bool TrustStore::certificate_valid_uncached(const Certificate& cert) const {
+bool TrustStore::certificate_valid(const Certificate& cert) const {
   const auto it = entries_.find(cert.serial);
   if (it == entries_.end() || it->second.revoked) return false;
   // The CA signature binds serial/subject/pseudonym-flag; a certificate
@@ -23,35 +23,6 @@ bool TrustStore::certificate_valid_uncached(const Certificate& cert) const {
          it->second.ca_signature ==
              keyed_digest(it->second.key,
                           certificate_tbs(cert.serial, cert.subject, cert.is_pseudonym));
-}
-
-bool TrustStore::certificate_valid(const Certificate& cert) const {
-  const auto it = cert_cache_.find(cert.serial);
-  if (it != cert_cache_.end() && it->second.generation == generation_ &&
-      it->second.cert == cert) {
-    ++stats_.cert_hits;
-    cert_lru_.splice(cert_lru_.begin(), cert_lru_, it->second.lru_it);
-    return it->second.valid;
-  }
-  ++stats_.cert_misses;
-  const bool valid = certificate_valid_uncached(cert);
-  if (it != cert_cache_.end()) {
-    // Same serial, stale generation or different certificate value: refresh
-    // in place.
-    it->second.cert = cert;
-    it->second.generation = generation_;
-    it->second.valid = valid;
-    cert_lru_.splice(cert_lru_.begin(), cert_lru_, it->second.lru_it);
-    return valid;
-  }
-  if (cert_cache_.size() >= kCertCacheCapacity) {
-    cert_cache_.erase(cert_lru_.back());
-    cert_lru_.pop_back();
-  }
-  cert_lru_.push_front(cert.serial);
-  cert_cache_.emplace(cert.serial,
-                      CertCacheEntry{cert, generation_, valid, cert_lru_.begin()});
-  return valid;
 }
 
 bool TrustStore::verify(const Certificate& cert, const net::Bytes& message,
@@ -66,45 +37,10 @@ VerifyResult TrustStore::verify_message(const Certificate& cert,
                                         std::uint64_t signature) const {
   if (last_.portion == portion && last_.generation == generation_ &&
       last_.signature == signature && last_.cert == cert) {
-    ++stats_.memo_hits;  // the probe's hit, whose LRU splice would be a no-op
     return VerifyResult{last_.ok, true};
   }
-  const VerifyResult result = probe_memo(cert, portion, signature);
-  last_ = LastVerdict{portion, cert, signature, generation_, result.ok};
-  return result;
-}
-
-VerifyResult TrustStore::probe_memo(const Certificate& cert, const SignedPortionPtr& portion,
-                                    std::uint64_t signature) const {
-  const std::uint64_t key = portion->digest;
-  const auto it = memo_.find(key);
-  if (it != memo_.end()) {
-    const MemoEntry& e = it->second;
-    // Exact-match hit condition: nothing about the memoized question may
-    // differ from the current one. Pointer identity covers the common case
-    // (all receivers of one frame, later hops of one forward share the
-    // portion object); byte equality is the collision-proof fallback.
-    if (e.generation == generation_ && e.signature == signature && e.cert == cert &&
-        (e.portion == portion || e.portion->bytes == portion->bytes)) {
-      ++stats_.memo_hits;
-      memo_lru_.splice(memo_lru_.begin(), memo_lru_, e.lru_it);
-      return VerifyResult{e.ok, true};
-    }
-  }
-  ++stats_.memo_misses;
   const bool ok = verify(cert, portion->bytes, signature);
-  if (it != memo_.end()) {
-    it->second =
-        MemoEntry{portion, cert, signature, generation_, ok, it->second.lru_it};
-    memo_lru_.splice(memo_lru_.begin(), memo_lru_, it->second.lru_it);
-    return VerifyResult{ok, false};
-  }
-  if (memo_.size() >= kMemoCapacity) {
-    memo_.erase(memo_lru_.back());
-    memo_lru_.pop_back();
-  }
-  memo_lru_.push_front(key);
-  memo_.emplace(key, MemoEntry{portion, cert, signature, generation_, ok, memo_lru_.begin()});
+  last_ = LastVerdict{portion, cert, signature, generation_, ok};
   return VerifyResult{ok, false};
 }
 
@@ -126,8 +62,8 @@ EnrolledIdentity CertificateAuthority::issue(net::GnAddress subject, bool pseudo
   cert.ca_signature = keyed_digest(key, certificate_tbs(serial, subject, pseudonym));
 
   store_->entries_[serial] = TrustStore::Entry{key, cert.ca_signature, false};
-  // Any cached negative verdict for this serial (e.g. "unknown certificate"
-  // observed before a churned node re-enrolled) is now stale.
+  // A last verdict that read this serial as unknown (a churned node that
+  // re-enrolled) is now stale.
   ++store_->generation_;
   return EnrolledIdentity{cert, PrivateKey{key}};
 }
@@ -144,8 +80,8 @@ void CertificateAuthority::revoke(CertificateSerial serial) {
   const auto it = store_->entries_.find(serial);
   if (it != store_->entries_.end()) {
     it->second.revoked = true;
-    // Cached positive verdicts for this certificate — validity entries and
-    // verification memos alike — must not survive revocation.
+    // A last verdict that accepted this certificate must not survive
+    // revocation.
     ++store_->generation_;
   }
 }

@@ -15,10 +15,4 @@ std::uint64_t keyed_digest(std::uint64_t key, const net::Bytes& message) {
   return h ^ (h >> 31);
 }
 
-std::uint64_t structural_digest(const net::Bytes& message) {
-  // Fixed public salt so the structural digest is not the same function as
-  // any keyed tag (a signature value never doubles as a memo bucket key).
-  return keyed_digest(0x5eed'cafe'f00d'd1e5ULL, message);
-}
-
 }  // namespace vgr::security

@@ -15,12 +15,6 @@ namespace vgr::security {
 /// bytes invalidates the tag. See DESIGN.md §1 for the substitution note.
 std::uint64_t keyed_digest(std::uint64_t key, const net::Bytes& message);
 
-/// Unkeyed structural digest used as a cache bucket key (e.g. the
-/// signed-portion digest of the TrustStore verification memo). NOT a
-/// security boundary: every consumer re-checks the full bytes on a match,
-/// so collisions cost a recomputation, never a false accept.
-std::uint64_t structural_digest(const net::Bytes& message);
-
 /// Private signing key. Only `CertificateAuthority::enroll` mints these, so
 /// possession of a `PrivateKey` is the capability boundary between enrolled
 /// nodes and the outsider attacker (which, per the threat model, has none).

@@ -4,16 +4,14 @@
 
 namespace vgr::security {
 
-PseudonymManager::PseudonymManager(CertificateAuthority& ca, net::MacAddress mac,
-                                   std::size_t pool_size, sim::Duration rotation_period,
-                                   sim::Rng rng)
+PseudonymManager::PseudonymManager(CertificateAuthority& ca, std::size_t pool_size,
+                                   sim::Duration rotation_period, sim::Rng rng)
     : rotation_period_{rotation_period} {
   assert(pool_size > 0);
   pool_.reserve(pool_size);
   for (std::size_t i = 0; i < pool_size; ++i) {
-    // Aliases keep the real MAC's low bits unlinkable by drawing a fresh
-    // link-layer address per pseudonym.
-    (void)mac;
+    // A fresh link-layer address per pseudonym, drawn independently of the
+    // station's real MAC, keeps the aliases unlinkable.
     const auto alias_mac = net::MacAddress{rng.next_u64()};
     pool_.push_back(ca.issue_pseudonym(
         net::GnAddress{net::GnAddress::StationType::kPassengerCar, alias_mac}));

@@ -15,8 +15,8 @@ namespace vgr::security {
 /// the paper's threat model — its *position* is still broadcast in clear.
 class PseudonymManager {
  public:
-  /// Pre-provisions `pool_size` pseudonyms for the station owning `mac`.
-  PseudonymManager(CertificateAuthority& ca, net::MacAddress mac, std::size_t pool_size,
+  /// Pre-provisions `pool_size` pseudonyms for one station.
+  PseudonymManager(CertificateAuthority& ca, std::size_t pool_size,
                    sim::Duration rotation_period, sim::Rng rng);
 
   /// Identity to sign with at time `t` (rotates automatically).

@@ -24,9 +24,8 @@ SecuredMessage SecuredMessage::from_parts(net::Packet packet, Certificate signer
 
 const SignedPortionPtr& SecuredMessage::signed_portion() const {
   if (!sp_cache_) {
-    net::Bytes bytes = net::Codec::encode_signed_portion(packet_);
-    const std::uint64_t digest = structural_digest(bytes);
-    sp_cache_ = std::make_shared<const SignedPortion>(SignedPortion{std::move(bytes), digest});
+    sp_cache_ = std::make_shared<const SignedPortion>(
+        SignedPortion{net::Codec::encode_signed_portion(packet_)});
   }
   return sp_cache_;
 }

@@ -84,8 +84,8 @@ class SecuredMessage {
 
   /// The certificate and signature ride alongside the packet; neither feeds
   /// the cached encodings, so these mutators leave the caches alone. (The
-  /// verification memo keys on certificate and signature *values*, so a
-  /// tampered signer/signature can never ride a stale cache entry.)
+  /// TrustStore's last verdict compares certificate and signature *values*,
+  /// so a tampered signer/signature is always verified afresh.)
   [[nodiscard]] Certificate& mutable_signer() { return signer_; }
   void set_signer(Certificate cert) { signer_ = cert; }
   void set_signature(std::uint64_t sig) { signature_ = sig; }
@@ -93,8 +93,9 @@ class SecuredMessage {
   /// Copy-on-mutate for the one per-hop rewrite the protocol performs:
   /// returns a copy with `remaining_hop_limit` replaced. The RHL lives in
   /// the Basic Header, outside the signature scope, so the copy *shares*
-  /// this message's signed-portion cache (keeping the verification memo warm
-  /// across hops) and only drops the full-wire cache.
+  /// this message's signed-portion cache (so a verifier that just checked
+  /// the original answers the copy from its last verdict) and only drops the
+  /// full-wire cache.
   [[nodiscard]] SecuredMessage with_remaining_hop_limit(std::uint8_t rhl) const {
     SecuredMessage copy = *this;
     copy.packet_.basic.remaining_hop_limit = rhl;
@@ -118,7 +119,7 @@ class SecuredMessage {
   [[nodiscard]] bool verify(const TrustStore& trust) const;
 
   /// Like `verify`, but also reports whether the verdict came from the
-  /// trust store's verification memo (for router stats).
+  /// trust store's last verdict (for router stats).
   [[nodiscard]] VerifyResult verify_detailed(const TrustStore& trust) const;
 
   /// Structural equality of the carried parts; the caches are derived state

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "vgr/net/packet.hpp"
@@ -14,13 +13,10 @@ namespace vgr::security {
 /// first use — and then shared by reference: every copy of the message, every
 /// receiver of the same frame, and every downstream hop that only rewrites
 /// the (unsigned) Basic Header reuses this object instead of re-serializing
-/// the packet. `digest` is a structural 64-bit digest of `bytes`, used as
-/// the bucket key of the TrustStore verification memo; memo hits always
-/// re-check the full bytes (or pointer identity), so a digest collision can
-/// never produce a false accept.
+/// the packet. The object's identity is what the TrustStore's last verdict
+/// matches on: every receiver of one frame verifies the same object.
 struct SignedPortion {
   net::Bytes bytes;
-  std::uint64_t digest{0};
 };
 
 using SignedPortionPtr = std::shared_ptr<const SignedPortion>;

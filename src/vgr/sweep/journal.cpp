@@ -1,9 +1,11 @@
 #include "vgr/sweep/journal.hpp"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
 #include <cassert>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -222,18 +224,30 @@ std::vector<JournalRecord> Journal::scan(const std::string& path, std::size_t* t
   return records;
 }
 
-void Journal::append(const JournalRecord& rec) {
+bool Journal::append(const JournalRecord& rec) {
   assert(file_ != nullptr);
   assert(rec.shard.find('"') == std::string::npos &&
          rec.shard.find('\\') == std::string::npos &&
          rec.shard.find('\n') == std::string::npos && "shard keys must be plain text");
   const std::string line = encode_record(rec);
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fflush(file_);
+  const int fd = fileno(file_);
+  struct stat before{};
+  if (fstat(fd, &before) != 0) return false;
   // Durability barrier: the record must be on disk before the supervisor
-  // moves on — a SIGKILL between shards must never lose a finished one.
-  fsync(fileno(file_));
+  // moves on — a SIGKILL between shards must never lose a finished one. A
+  // record that did not reach the disk is not journaled.
+  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
+      std::fflush(file_) != 0 || fsync(fd) != 0) {
+    // Cut off what did reach the file, so the next record does not join a
+    // torn line and vanish with it when the journal is reopened.
+    const int err = errno;
+    std::clearerr(file_);
+    [[maybe_unused]] const int cut = ftruncate(fd, before.st_size);
+    errno = err;
+    return false;
+  }
   records_.push_back(rec);
+  return true;
 }
 
 const JournalRecord* Journal::find(std::string_view shard) const {

@@ -59,7 +59,9 @@ class Journal {
 
   /// Appends one record and flushes it to disk (fflush + fsync) before
   /// returning, so a SIGKILL after append() can never lose the shard.
-  void append(const JournalRecord& rec);
+  /// Returns false, with `errno` set, records() unchanged and the file cut
+  /// back to its previous end, when the write, the flush or the fsync fails.
+  bool append(const JournalRecord& rec);
 
   [[nodiscard]] const std::vector<JournalRecord>& records() const { return records_; }
   [[nodiscard]] const JournalRecord* find(std::string_view shard) const;

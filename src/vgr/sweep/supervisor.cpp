@@ -210,7 +210,13 @@ void Supervisor::count_quarantine(std::string_view cause) {
 void Supervisor::record(const ShardSpec& spec, const char* status, std::uint64_t attempts,
                         const char* cause, const std::string& payload) {
   if (!journal_.has_value()) return;
-  journal_->append({spec.key, status, "full", attempts, cause, payload.empty() ? "null" : payload});
+  if (!journal_->append(
+          {spec.key, status, "full", attempts, cause, payload.empty() ? "null" : payload})) {
+    // The shard's payload is still returned, so this run's output stands; a
+    // resume runs the shard again.
+    std::fprintf(stderr, "[sweep] journal %s: append failed: %s\n",
+                 config_.journal_path.c_str(), std::strerror(errno));
+  }
   maybe_fault();
 }
 

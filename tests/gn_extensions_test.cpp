@@ -312,7 +312,7 @@ TEST_F(ExtensionsTest, RotationChangesAddressAndKeepsVerifying) {
   const net::GnAddress before = a.router->address();
 
   sim::Rng prng{99};
-  security::PseudonymManager pool{ca_, before.mac(), 3, sim::Duration::seconds(10.0), prng};
+  security::PseudonymManager pool{ca_, 3, sim::Duration::seconds(10.0), prng};
   a.router->rotate_identity(pool.active(events_.now()));
 
   EXPECT_NE(a.router->address(), before);
@@ -332,7 +332,7 @@ TEST_F(ExtensionsTest, RotationRebindsLinkLayerAddress) {
   beacons();
 
   sim::Rng prng{100};
-  security::PseudonymManager pool{ca_, a.router->mac(), 2, sim::Duration::seconds(10.0), prng};
+  security::PseudonymManager pool{ca_, 2, sim::Duration::seconds(10.0), prng};
   a.router->rotate_identity(pool.active(events_.now()));
   a.router->send_beacon_now();
   run_for(100_ms);

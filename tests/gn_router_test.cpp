@@ -363,8 +363,8 @@ TEST_F(RouterTest, ForwardingDoesNotMutateSharedFrame) {
 
 TEST_F(RouterTest, VerifyMemoCountersSurfaceInStats) {
   // The same signed envelope crosses each router's ingest once per hop or
-  // retransmission; repeats land in the trust store's verification memo and
-  // the split is visible per router.
+  // retransmission; a check that repeats the trust store's previous question
+  // is answered from its last verdict, and the split is visible per router.
   Node& a = add_node(0.0);
   Node& b = add_node(100.0);
   exchange_beacons();
@@ -375,9 +375,9 @@ TEST_F(RouterTest, VerifyMemoCountersSurfaceInStats) {
   // Every verified ingest is classified exactly once as hit or miss.
   EXPECT_GT(sa.verify_memo_misses + sa.verify_memo_hits, 0u);
   EXPECT_GT(sb.verify_memo_misses, 0u);
-  // b hears a's GBC, then a's copy of b's CBF rebroadcast of the *same*
-  // signed portion lands in the shared store's memo: a's re-verification
-  // of its own flooded packet is a hit.
+  // b hears a's GBC, then a hears b's CBF rebroadcast of the *same* signed
+  // portion and asks the shared store the question b just asked: a's
+  // re-verification of its own flooded packet is a hit.
   EXPECT_GT(sa.verify_memo_hits, 0u);
 }
 

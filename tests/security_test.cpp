@@ -181,7 +181,7 @@ TEST(SecuredMessage, RevokedSignerFailsVerification) {
 TEST(Pseudonym, PoolIssuesAndRotates) {
   CertificateAuthority ca;
   sim::Rng rng{5};
-  PseudonymManager mgr{ca, net::MacAddress{0xAA}, 4, sim::Duration::seconds(10.0), rng};
+  PseudonymManager mgr{ca, 4, sim::Duration::seconds(10.0), rng};
   EXPECT_EQ(mgr.pool_size(), 4u);
 
   const auto t0 = sim::TimePoint::origin();
@@ -194,7 +194,7 @@ TEST(Pseudonym, PoolIssuesAndRotates) {
 TEST(Pseudonym, PseudonymCertificatesVerify) {
   CertificateAuthority ca;
   sim::Rng rng{6};
-  PseudonymManager mgr{ca, net::MacAddress{0xBB}, 2, sim::Duration::seconds(60.0), rng};
+  PseudonymManager mgr{ca, 2, sim::Duration::seconds(60.0), rng};
   const auto& id = mgr.active(sim::TimePoint::origin());
   EXPECT_TRUE(id.certificate.is_pseudonym);
   const auto msg = SecuredMessage::sign(sample_gbc(id.certificate.subject.mac().bits()),
@@ -227,8 +227,8 @@ TEST(SecuredMessage, RhlRewriteSharesSignedPortion) {
   const auto msg = SecuredMessage::sign(sample_gbc(1), Signer{ca.enroll(addr(1))});
   const SecuredMessage hop = msg.with_remaining_hop_limit(3);
   // Same object, not merely equal bytes: the forwarding path re-uses the
-  // encoding built at sign() time, which is what keeps the verify memo warm
-  // across hops.
+  // encoding built at sign() time, which is what lets a verifier answer the
+  // forward from its last verdict.
   EXPECT_EQ(msg.signed_portion().get(), hop.signed_portion().get());
 }
 
@@ -241,22 +241,22 @@ TEST(SecuredMessage, MutablePacketDropsCaches) {
   EXPECT_NE(msg.wire(), stale);
 }
 
-// --- Verification memo: negative paths after a warm hit --------------------
+// --- Verification: negative paths after a warm verdict ---------------------
 
 TEST(SecuredMessage, TamperAfterWarmVerifyStillFails) {
-  // A warm memo entry must never vouch for bytes it was not computed over.
+  // A warm verdict must never vouch for bytes it was not computed over.
   // Every mutation shape the codec fuzzer can produce on the signed portion
   // — payload bytes, position, area, sequence number, header fields — has to
-  // fall out of the memo and fail a full verification.
+  // be verified afresh and fail.
   CertificateAuthority ca;
   const Signer signer{ca.enroll(addr(1))};
   const auto original = SecuredMessage::sign(sample_gbc(1), signer);
-  ASSERT_TRUE(original.verify(*ca.trust_store()));  // warm the memo
+  ASSERT_TRUE(original.verify(*ca.trust_store()));  // warm the verdict
   ASSERT_TRUE(original.verify(*ca.trust_store()));
 
   const auto tampered_fails = [&](auto&& mutate) {
     SecuredMessage copy = original;  // shares the warm caches
-    mutate(copy.mutable_packet());   // drops them; memo keyed on new bytes
+    mutate(copy.mutable_packet());   // drops them: a new portion object
     return !copy.verify(*ca.trust_store());
   };
   EXPECT_TRUE(tampered_fails([](net::Packet& p) { p.payload[0] ^= 0x01; }));
@@ -279,7 +279,7 @@ TEST(SecuredMessage, TamperAfterWarmVerifyStillFails) {
     EXPECT_FALSE(copy.verify(*ca.trust_store()));
   }
   // Basic-header mutations stay verifiable — they are outside the signature
-  // scope by design (the paper's attack #2), warm memo or not.
+  // scope by design (the paper's attack #2), warm verdict or not.
   SecuredMessage rhl = original.with_remaining_hop_limit(1);
   EXPECT_TRUE(rhl.verify(*ca.trust_store()));
   // The untouched original still verifies after all of the above.
@@ -295,7 +295,7 @@ TEST(SecuredMessage, WireTamperThenReingestFailsVerification) {
   CertificateAuthority ca;
   const Signer signer{ca.enroll(addr(1))};
   const auto original = SecuredMessage::sign(sample_gbc(1), signer);
-  ASSERT_TRUE(original.verify(*ca.trust_store()));  // warm the memo
+  ASSERT_TRUE(original.verify(*ca.trust_store()));  // warm the verdict
   const net::Bytes wire = original.wire();
   const net::Bytes signed_bytes = net::Codec::encode_signed_portion(original.packet());
   int decodable = 0, signed_mutants = 0, benign_mutants = 0;
@@ -324,7 +324,7 @@ TEST(SecuredMessage, WireTamperThenReingestFailsVerification) {
   EXPECT_GT(benign_mutants, 0);
 }
 
-// --- TrustStore cache behaviour --------------------------------------------
+// --- TrustStore last verdict -----------------------------------------------
 
 TEST(TrustStore, VerifyMemoHitsOnRepeatAndRhlRewrite) {
   CertificateAuthority ca;
@@ -339,24 +339,17 @@ TEST(TrustStore, VerifyMemoHitsOnRepeatAndRhlRewrite) {
   EXPECT_TRUE(second.ok);
   EXPECT_TRUE(second.from_memo);
 
-  // An RHL-rewritten forward hits the same memo entry: identical signed
+  // An RHL-rewritten forward asks the same question: identical signed
   // portion, signer and signature.
   const auto hop = msg.with_remaining_hop_limit(2).verify_detailed(trust);
   EXPECT_TRUE(hop.ok);
   EXPECT_TRUE(hop.from_memo);
-
-  const auto& stats = trust.cache_stats();
-  EXPECT_EQ(stats.memo_misses, 1u);
-  EXPECT_EQ(stats.memo_hits, 2u);
 }
 
 TEST(TrustStore, LastVerdictAnswersOnlyAnExactRepeat) {
   // verify_message answers a repeat of its previous question from that
-  // call's verdict. Each call below checks the verdict, from_memo and all
-  // four cache counters, which must read as if every call had probed the
-  // memo: `memo` says whether the call is a memo hit, `cert` what its full
-  // verification (on a miss) does to the certificate cache.
-  enum class Cert { kNone, kHit, kMiss };
+  // call's verdict and computes every other question in full. Each call
+  // below checks the verdict and whether it was answered (`from_memo`).
   CertificateAuthority ca;
   const Signer signer{ca.enroll(addr(1))};
   const Signer other{ca.enroll(addr(2))};
@@ -365,88 +358,88 @@ TEST(TrustStore, LastVerdictAnswersOnlyAnExactRepeat) {
   const SignedPortionPtr portion = msg.signed_portion();
   const Certificate cert = msg.signer();
   const std::uint64_t sig = msg.signature();
-  TrustCacheStats want = trust.cache_stats();
   const auto check = [&](const Certificate& c, const SignedPortionPtr& p, std::uint64_t s,
-                         bool ok, bool memo, Cert cert_cache) {
+                         bool ok, bool answered) {
     const VerifyResult got = trust.verify_message(c, p, s);
     EXPECT_EQ(got.ok, ok);
-    EXPECT_EQ(got.from_memo, memo);
-    ++(memo ? want.memo_hits : want.memo_misses);
-    if (cert_cache == Cert::kHit) ++want.cert_hits;
-    if (cert_cache == Cert::kMiss) ++want.cert_misses;
-    const TrustCacheStats& stats = trust.cache_stats();
-    EXPECT_EQ(stats.memo_hits, want.memo_hits);
-    EXPECT_EQ(stats.memo_misses, want.memo_misses);
-    EXPECT_EQ(stats.cert_hits, want.cert_hits);
-    EXPECT_EQ(stats.cert_misses, want.cert_misses);
+    EXPECT_EQ(got.from_memo, answered);
   };
 
   {
     SCOPED_TRACE("first call, then a repeat");
-    check(cert, portion, sig, true, false, Cert::kMiss);
-    check(cert, portion, sig, true, true, Cert::kNone);
+    check(cert, portion, sig, true, false);
+    check(cert, portion, sig, true, true);
   }
   {
     SCOPED_TRACE("an RHL-rewritten copy shares the portion");
     const SecuredMessage hop = msg.with_remaining_hop_limit(2);
-    check(hop.signer(), hop.signed_portion(), hop.signature(), true, true, Cert::kNone);
+    check(hop.signer(), hop.signed_portion(), hop.signature(), true, true);
   }
   {
-    SCOPED_TRACE("equal bytes in another object: the memo's byte check");
+    SCOPED_TRACE("A, then B, then A again");
+    const auto b = SecuredMessage::sign(sample_gbc(2), signer);
+    check(cert, portion, sig, true, true);
+    check(b.signer(), b.signed_portion(), b.signature(), true, false);
+    // B's verdict replaced A's: A is a new question again.
+    check(cert, portion, sig, true, false);
+  }
+  {
+    SCOPED_TRACE("equal bytes in another object: computed, then answered");
     const auto twin = std::make_shared<const SignedPortion>(*portion);
-    check(cert, twin, sig, true, true, Cert::kNone);
-    check(cert, twin, sig, true, true, Cert::kNone);
+    check(cert, twin, sig, true, false);
+    check(cert, twin, sig, true, true);
   }
   {
     SCOPED_TRACE("another certificate, then a tampered signature");
-    check(other.certificate(), portion, sig, false, false, Cert::kMiss);
-    check(other.certificate(), portion, sig, false, true, Cert::kNone);
-    check(cert, portion, sig ^ 1U, false, false, Cert::kHit);
-    check(cert, portion, sig, true, false, Cert::kHit);
+    check(other.certificate(), portion, sig, false, false);
+    check(other.certificate(), portion, sig, false, true);
+    check(cert, portion, sig ^ 1U, false, false);
+    check(cert, portion, sig, true, false);
   }
   {
     SCOPED_TRACE("a revoke, then an issue, between two calls");
     ca.revoke(cert.serial);
-    check(cert, portion, sig, false, false, Cert::kMiss);
-    check(cert, portion, sig, false, true, Cert::kNone);
+    check(cert, portion, sig, false, false);
+    check(cert, portion, sig, false, true);
     ca.enroll(addr(3));
-    check(cert, portion, sig, false, false, Cert::kMiss);
+    check(cert, portion, sig, false, false);
   }
   {
     SCOPED_TRACE("a portion freed and replaced by a new one");
     const Signer third{ca.enroll(addr(4))};
     const auto first = std::make_shared<const SignedPortion>(*portion);
     const std::uint64_t third_sig = third.sign(first->bytes);
-    check(third.certificate(), first, third_sig, true, false, Cert::kMiss);
+    check(third.certificate(), first, third_sig, true, false);
     auto twin = std::make_shared<const SignedPortion>(*first);
-    check(third.certificate(), twin, third_sig, true, true, Cert::kNone);
+    check(third.certificate(), twin, third_sig, true, false);
     twin.reset();
-    // Same size and digest, other bytes: the allocator may hand it the
-    // address `twin` had. It is a new question all the same.
+    // Same size, other bytes: the allocator may hand it the address `twin`
+    // had. It is a new question all the same.
     net::Bytes tampered = first->bytes;
     tampered.back() = static_cast<std::uint8_t>(tampered.back() ^ 0x01U);
     const auto replacement =
-        std::make_shared<const SignedPortion>(SignedPortion{std::move(tampered), first->digest});
-    check(third.certificate(), replacement, third_sig, false, false, Cert::kHit);
+        std::make_shared<const SignedPortion>(SignedPortion{std::move(tampered)});
+    check(third.certificate(), replacement, third_sig, false, false);
   }
 }
 
-TEST(TrustStore, MemoDistinguishesEqualDigestBuckets) {
-  // Two different messages never share a verdict even if their structural
-  // digests collided: the hit condition re-checks the full bytes.
+TEST(TrustStore, DifferentMessagesNeverShareAVerdict) {
+  // A second message from the same signer is a new question: its verdict is
+  // computed in full, never answered from the first message's.
   CertificateAuthority ca;
   const Signer signer{ca.enroll(addr(1))};
   const auto a = SecuredMessage::sign(sample_gbc(1), signer);
   const auto b = SecuredMessage::sign(sample_gbc(2), signer);
   EXPECT_TRUE(a.verify(*ca.trust_store()));
-  EXPECT_TRUE(b.verify(*ca.trust_store()));
+  const VerifyResult vb = b.verify_detailed(*ca.trust_store());
+  EXPECT_TRUE(vb.ok);
+  EXPECT_FALSE(vb.from_memo);
   EXPECT_TRUE(a.verify(*ca.trust_store()));
-  EXPECT_GE(ca.trust_store()->cache_stats().memo_misses, 2u);
 }
 
 TEST(TrustStore, RevocationInvalidatesWarmMemo) {
-  // Revocation bumps the store generation, so a memo entry minted before
-  // the revocation can never answer for the revoked signer.
+  // Revocation bumps the store generation, so a verdict reached before the
+  // revocation can never answer for the revoked signer.
   CertificateAuthority ca;
   const auto id = ca.enroll(addr(1));
   const auto msg = SecuredMessage::sign(sample_gbc(1), Signer{id});
@@ -459,38 +452,26 @@ TEST(TrustStore, RevocationInvalidatesWarmMemo) {
 }
 
 TEST(TrustStore, EnrollmentAfterNegativeCacheIsVisible) {
-  // The dual hazard: a *negative* verdict cached before the signer enrolled
+  // The dual hazard: a *negative* verdict reached before the signer enrolled
   // (node churn re-enrollment) must not outlive the enrollment.
   CertificateAuthority ca;
   const auto id = ca.enroll(addr(1));
   const auto msg = SecuredMessage::sign(sample_gbc(1), Signer{id});
   CertificateAuthority other;  // different trust domain: verification fails
   ASSERT_FALSE(msg.verify(*other.trust_store()));
-  ASSERT_FALSE(msg.verify(*other.trust_store()));  // negative memo is warm
+  ASSERT_FALSE(msg.verify(*other.trust_store()));  // negative verdict is warm
   other.enroll(addr(9));  // any issue bumps the generation
-  // Still fails (wrong CA), but through a fresh computation, not the memo.
+  // Still fails (wrong CA), but through a fresh computation, not the last
+  // verdict.
   const auto v = msg.verify_detailed(*other.trust_store());
   EXPECT_FALSE(v.ok);
   EXPECT_FALSE(v.from_memo);
 }
 
-TEST(TrustStore, CertificateValidityCacheCountsHits) {
-  CertificateAuthority ca;
-  const auto id = ca.enroll(addr(1));
-  const TrustStore& trust = *ca.trust_store();
-  const auto misses_before = trust.cache_stats().cert_misses;
-  ASSERT_TRUE(trust.certificate_valid(id.certificate));
-  const auto hits_before = trust.cache_stats().cert_hits;
-  ASSERT_TRUE(trust.certificate_valid(id.certificate));
-  ASSERT_TRUE(trust.certificate_valid(id.certificate));
-  EXPECT_EQ(trust.cache_stats().cert_hits, hits_before + 2);
-  EXPECT_EQ(trust.cache_stats().cert_misses, misses_before + 1);
-}
-
 TEST(Pseudonym, RotationWrapsAroundPool) {
   CertificateAuthority ca;
   sim::Rng rng{8};
-  PseudonymManager mgr{ca, net::MacAddress{0xCC}, 2, sim::Duration::seconds(1.0), rng};
+  PseudonymManager mgr{ca, 2, sim::Duration::seconds(1.0), rng};
   const auto t = sim::TimePoint::origin();
   const auto a0 = mgr.current_alias(t);
   const auto a2 = mgr.current_alias(t + sim::Duration::seconds(2.1));

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -174,6 +176,40 @@ TEST(Journal, ScanIsReadOnly) {
   EXPECT_EQ(torn, 4u);
   EXPECT_EQ(std::filesystem::file_size(path), before);  // untouched
   EXPECT_TRUE(Journal::scan("/nonexistent/definitely-missing.journal").empty());
+  std::filesystem::remove(path);
+}
+
+TEST(Journal, FailedAppendIsNotRecorded) {
+  const std::string path = temp_path("efbig");
+  std::filesystem::remove(path);
+  auto j = Journal::open(path);
+  ASSERT_TRUE(j.has_value());
+  // Cap this process's file size below one record, with SIGXFSZ ignored so
+  // the write fails with EFBIG instead of killing the process. Both are
+  // restored before anything can print.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = 16;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  const bool capped_ok = ::setrlimit(RLIMIT_FSIZE, &capped) == 0;
+  const bool appended = capped_ok && j->append(sample("shard-a"));
+  const bool restored = ::setrlimit(RLIMIT_FSIZE, &saved) == 0;
+  std::signal(SIGXFSZ, old_handler);
+  ASSERT_TRUE(capped_ok);
+  ASSERT_TRUE(restored);
+
+  EXPECT_FALSE(appended);
+  EXPECT_TRUE(j->records().empty());
+  EXPECT_EQ(j->find("shard-a"), nullptr);
+  // The torn line was cut off: the next record reads back on reopen.
+  EXPECT_TRUE(j->append(sample("shard-b")));
+  j->close();
+  std::size_t torn = 0;
+  const auto records = Journal::scan(path, &torn);  // what a resume would read
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].shard, "shard-b");
+  EXPECT_EQ(torn, 0u);
   std::filesystem::remove(path);
 }
 

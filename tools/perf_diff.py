@@ -5,9 +5,9 @@ Usage: perf_diff.py BASELINE.json FRESH.json [--max-regression 0.25]
 
 Only the gated hot-path kernels are thresholded — they are the paths the
 perf PRs pinned and they are stable enough on shared runners to gate on
-(single-digit-nanosecond memo hits and flat-table probes, not multi-
-microsecond scenario slices). Every other benchmark is reported for the
-trajectory but never fails the job. Exit code 1 on any gated kernel
+(single-digit-nanosecond last-verdict answers and flat-table probes, not
+multi-microsecond scenario slices). Every other benchmark is reported for
+the trajectory but never fails the job. Exit code 1 on any gated kernel
 regressing by more than --max-regression (fractional, default 0.25).
 """
 
